@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .partitions import Partition, verify_cholesky, weight_partitions
 from .satake import degree_via_satake, satake_image, verify_basic
-from .cosets import CosetBudgetError, coset_decomposition, oracle_multiply
+from .cosets import DEFAULT_BUDGET, CosetBudgetError, coset_decomposition, oracle_multiply
 from .hecke import multiply_generators, verify_lem2
 from .amplifier import amplifier_coefficients
 from .diophantine import (
@@ -217,7 +216,6 @@ def cmd_verify(args) -> int:
             rep = verify_basic(a, p)
             record(f"satake_basic_n{n}_p{p}_{tuple(a)}", rep.ok)
     for n, p in ((2, 2), (2, 3), (3, 2)):
-        parts = [a for w in (1, 2) for a in weight_partitions(n) if a.weight == n][:2]
         gens = [Partition((1,) + (0,) * (n - 1)), Partition((1,) * (n - 1) + (0,))]
         for a in gens:
             for b in gens:
@@ -255,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true", help="include wall-clock timings")
     parser.add_argument(
         "--budget", type=int,
-        default=int(os.environ.get("HECKELAB_BUDGET", 10**6)),
+        default=DEFAULT_BUDGET,
         help="enumeration budget (default from HECKELAB_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("multiply", help="structure constants via both routes")
-    sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=_parse_partition, required=True)
     sp.add_argument("--b", type=_parse_partition, required=True)

@@ -1,7 +1,9 @@
 """Partitions with a fixed number of parts, Kostka numbers, and contingency-table counts.
 
 A partition here is a non-increasing tuple of n non-negative integers
-(trailing zeros allowed, so the rank n is part of the data).  The module
+(trailing zeros allowed, so the rank n is part of the data).  tableau_sum,
+the weighted horizontal-strip recursion of Macdonald III (5.8'), (5.11'),
+gives Kostka numbers, Schur polynomials and Satake images.  The module
 also builds the two matrices attached to the set of weight-n partitions:
 the contingency-count matrix D, whose (a', a) entry counts non-negative
 integer matrices with row sums a' and column sums a, and the Kostka
@@ -11,7 +13,6 @@ matrix A with D = A^T A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -105,18 +106,28 @@ def kostka_number(shape: Partition, content: Partition) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
     Zero when the content is not dominated by the shape.  Raises on a
-    weight mismatch.  Computed by peeling the cells holding the largest
-    entry, which form a horizontal strip, and recursing.
+    weight mismatch.  Equal to tableau_sum at t = 0.
+    """
+    return tableau_sum(shape, content, 0)
+
+
+def tableau_sum(shape: Partition, content: Partition, t):
+    """Sum of psi_T(t) over the semistandard tableaux T of the given shape and content.
+
+    The coefficient of m_content in the Hall-Littlewood polynomial
+    P_shape(x; t): Macdonald, Symmetric Functions and Hall Polynomials,
+    III (5.11').  Zero unless the content is dominated by the shape.
     """
     shape = Partition(shape)
     content = Partition(content)
     if shape.weight != content.weight:
         raise ValueError("shape and content must have equal weight")
-    return _kostka(tuple(x for x in shape if x), tuple(x for x in content if x))
+    return _tableau_sum(tuple(x for x in shape if x), tuple(x for x in content if x), t)
 
 
-@lru_cache(maxsize=None)
-def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
+@lru_cache(maxsize=None, typed=True)  # t = 0 and Fraction(0) must not share results
+def _tableau_sum(shape: tuple[int, ...], content: tuple[int, ...], t):
+    """Peel the cells holding the largest entry, a horizontal strip, and recurse."""
     if not content:
         return 1 if not shape else 0
     if not dominance_leq(_pad(content, len(shape)), _pad(shape, len(content))):
@@ -125,8 +136,20 @@ def _kostka(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
     rest = content[:-1]
     total = 0
     for smaller in _horizontal_strips(shape, last):
-        total += _kostka(smaller, rest)
+        total += _strip_weight(shape, smaller, t) * _tableau_sum(smaller, rest, t)
     return total
+
+
+def _strip_weight(shape: tuple[int, ...], smaller: tuple[int, ...], t):
+    """psi_{shape/smaller}(t) of Macdonald III (5.8'): the product of (1 - t^{m_j(smaller)})
+    over the j >= 1 where the strip has no cell in column j and one in column j + 1."""
+    cols = {j for lam, mu in zip(shape, _pad(smaller, len(shape)))
+            for j in range(mu + 1, lam + 1)}
+    weight = 1
+    for j in cols:
+        if j > 1 and j - 1 not in cols:
+            weight *= 1 - t ** smaller.count(j - 1)
+    return weight
 
 
 def _pad(t: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -210,25 +233,22 @@ def kostka_matrix(n: int) -> list[list[int]]:
 
 
 def det_integer_matrix(m: list[list[int]]) -> int:
-    """Exact determinant via fraction-free elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
+    """Exact determinant by Bareiss fraction-free elimination: every division is exact in Z."""
+    a = [list(row) for row in m]
     size = len(a)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for col in range(size):
         piv = next((r for r in range(col, size) if a[r][col] != 0), None)
         if piv is None:
             return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+            sign = -sign
         for r in range(col + 1, size):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return det.numerator
+            for c in range(col + 1, size):
+                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
+        prev = a[col][col]
+    return sign * prev
 
 
 @dataclass

@@ -3,25 +3,28 @@
 For a non-increasing exponent vector a and a prime p, the image of the
 double-coset operator attached to diag(p^{a_1}, ..., p^{a_n}) is
 
-    (1 - 1/p)^n / p^{v(a)} * prod_i prod_{j=1..k_i} (1 - 1/p^j)^{-1}
-        * sum_sigma sigma( x^a prod_{i<j} (x_i - x_j/p)/(x_i - x_j) )
+    p^{-v(a)} * P_a(x; 1/p),
+
+with v(a) = sum_j j a_j and P_a the Hall-Littlewood polynomial, computed
+by the tableau formula of Macdonald III (5.8'), (5.11').  The tests hold
+it to the defining form
+
+    P_a(x; t) = 1/v_a(t) * sum_sigma sigma( x^a prod_{i<j} (x_i - t x_j)/(x_i - x_j) ),
+    1/v_a(t) = (1 - t)^n * prod_i prod_{j=1..k_i} (1 - t^j)^{-1},
 
 where k_1, ..., k_t are the multiplicities of the distinct values among the
-a_i.  The inner product over j runs to k_i for each block; this convention
-is pinned down by the checks that the zero vector maps to 1, that the
-leading coefficient of the scaled image is 1, and that evaluation at the
-trivial point reproduces coset degrees.
+a_i.  Each image is checked for degree |a|, leading coefficient 1 at x^a,
+and coefficients in Z[1/p].
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, dominance_leq
-from .sympoly import SymPoly, denominators_are_powers_of, schur, symmetrize_alternant
+from .sympoly import SymPoly, denominators_are_powers_of, hall_littlewood_p, schur
 
 
 @dataclass(frozen=True)
@@ -32,25 +35,19 @@ class SatakeImage:
     scaled: SymPoly  # p^{v(a)} times the image; coefficients in Z[1/p]
 
 
-def _prefactor(a: Partition, p: int) -> Fraction:
-    t = Fraction(1, p)
-    pref = (1 - t) ** a.n
-    for mult in Counter(a).values():
-        for j in range(1, mult + 1):
-            pref /= 1 - t**j
-    return pref
-
-
 @lru_cache(maxsize=None)
 def satake_image(a: Partition, p: int) -> SatakeImage:
     """Exact Satake image of the double-coset operator for a at the prime p."""
     a = Partition(a)
     if p < 2:
         raise ValueError("p must be a prime >= 2")
-    scaled = symmetrize_alternant(a, Fraction(1, p)).scale(_prefactor(a, p))
-    assert scaled.homogeneous_degree() == a.weight
-    assert scaled.coefficient(a) == 1, f"leading coefficient not 1 for {a}, p={p}"
-    assert denominators_are_powers_of(scaled, p)
+    scaled = hall_littlewood_p(a, Fraction(1, p))
+    if scaled.homogeneous_degree() != a.weight:
+        raise ArithmeticError(f"image of {a}, p={p} is not homogeneous of degree {a.weight}")
+    if scaled.coefficient(a) != 1:
+        raise ArithmeticError(f"leading coefficient not 1 for {a}, p={p}")
+    if not denominators_are_powers_of(scaled, p):
+        raise ArithmeticError(f"image of {a} has a denominator prime to p={p}")
     poly = scaled.scale(Fraction(1, p**a.v_weight()))
     return SatakeImage(a=a, p=p, poly=poly, scaled=scaled)
 
@@ -133,5 +130,6 @@ def degree_via_satake(a: Partition, p: int) -> int:
     """Coset degree of the operator, read off the image at the trivial point."""
     a = Partition(a)
     value = satake_image(a, p).poly.evaluate(trivial_point(a.n, p))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"non-integral degree {value} for {a}, p={p}")
     return value.numerator

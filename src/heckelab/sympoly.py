@@ -2,14 +2,16 @@
 
 A SymPoly stores one coefficient per S_n-orbit of exponent vectors, keyed
 by the orbit's non-increasing representative; coefficients are Fractions.
-The module supplies the monomial symmetric and Schur bases, exact
-multiplication, and the alternating-sum symmetrizer
+The module supplies the monomial symmetric basis, exact multiplication,
+and the Hall-Littlewood polynomials P_a(x; t) by the tableau formula of
+Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'), with
+strip weights (5.8'); at t = 0 they are the Schur polynomials.  The alternant
 
     sum over sigma of  sigma( x^a * prod_{i<j} (x_i - t x_j) / (x_i - x_j) ),
 
-evaluated as an exact polynomial identity: the numerator is expanded as an
-alternating polynomial and divided by the Vandermonde factor by factor with
-a zero-remainder assertion at every step.
+which is v_a(t) P_a(x; t), is kept only as the spec reference for tests:
+its numerator is expanded as an alternating polynomial and divided by the
+Vandermonde factor by factor with a zero-remainder check at every step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .partitions import Partition, enumerate_partitions, kostka_number
+from .partitions import Partition, dominance_leq, enumerate_partitions, tableau_sum
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +196,22 @@ def monomial_symmetric(a: Partition) -> SymPoly:
     return SymPoly(a.n, {tuple(a): Fraction(1)})
 
 
+def hall_littlewood_p(a: Partition, t) -> SymPoly:
+    """Hall-Littlewood polynomial P_a(x_1, ..., x_n; t) by the tableau formula (5.11').
+
+    The coefficient of m_b, for b dominated by a, is tableau_sum(a, b, t).
+    """
+    a = Partition(a)
+    dominated = [b for b in enumerate_partitions(a.n, a.weight) if dominance_leq(b, a)]
+    return SymPoly(a.n, {tuple(b): tableau_sum(a, b, t) for b in dominated})
+
+
+@lru_cache(maxsize=None)
+def schur(a: Partition) -> SymPoly:
+    """Schur polynomial s_a = P_a(x; 0): Kostka numbers times monomial symmetric functions."""
+    return hall_littlewood_p(a, 0)
+
+
 # -- dense (non-symmetric) helpers used by the alternant machinery ----------
 
 
@@ -297,40 +315,6 @@ def symmetrize_alternant(a: Partition, t) -> SymPoly:
     for i, j in combinations(range(n), 2):
         quotient = _divide_linear(quotient, i, j)
     return SymPoly.from_expanded(n, quotient)
-
-
-@lru_cache(maxsize=None)
-def schur(a: Partition) -> SymPoly:
-    """Schur polynomial via the bialternant formula.
-
-    The numerator det(x_i^{a_j + n - j}) is the alternating sum over
-    permutations of x^{a + delta}; dividing by the Vandermonde gives s_a.
-    """
-    a = Partition(a)
-    n = a.n
-    staircase = tuple(a[k] + (n - 1 - k) for k in range(n))
-    numerator: dict[tuple[int, ...], Fraction] = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        e = [0] * n
-        for pos, var in enumerate(perm):
-            e[var] = staircase[pos]
-        _dense_add_into(numerator, {tuple(e): Fraction(sign)})
-    quotient = numerator
-    for i, j in combinations(range(n), 2):
-        quotient = _divide_linear(quotient, i, j)
-    return SymPoly.from_expanded(n, quotient)
-
-
-def schur_via_tableaux(a: Partition) -> SymPoly:
-    """Schur polynomial as sum of Kostka numbers times monomial symmetric functions."""
-    a = Partition(a)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for b in enumerate_partitions(a.n, a.weight):
-        k = kostka_number(a, b)
-        if k:
-            terms[tuple(b)] = Fraction(k)
-    return SymPoly(a.n, terms)
 
 
 def denominators_are_powers_of(poly: SymPoly, p: int) -> bool:

@@ -200,3 +200,6 @@ def test_cholesky_n3_diagonal_entry():
 def test_det_integer_matrix():
     assert det_integer_matrix([[2, 1], [1, 1]]) == 1
     assert det_integer_matrix([[1, 2], [2, 4]]) == 0
+    assert det_integer_matrix([[0, 1], [1, 0]]) == -1
+    # the first elimination step zeroes the (2, 2) pivot, forcing a row swap
+    assert det_integer_matrix([[1, 2, 3], [2, 4, 5], [1, 5, 6]]) == 3

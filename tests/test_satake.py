@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import satake
 from heckelab.partitions import Partition, enumerate_partitions
 from heckelab.satake import (
     degree_via_satake,
@@ -10,7 +11,7 @@ from heckelab.satake import (
     trivial_point,
     verify_basic,
 )
-from heckelab.sympoly import monomial_symmetric
+from heckelab.sympoly import SymPoly, monomial_symmetric
 from heckelab.cosets import coset_decomposition
 
 
@@ -37,6 +38,34 @@ def test_scaled_image_two_zero():
 def test_rejects_negative_parts():
     with pytest.raises(ValueError):
         satake_image(Partition((1, -1)), 3)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda poly: poly + SymPoly(2, {(1, 0): Fraction(1)}),  # wrong degree
+        lambda poly: poly.scale(2),  # leading coefficient 2
+        lambda poly: poly + SymPoly(2, {(1, 1): Fraction(1, 7)}),  # denominator 7
+    ],
+    ids=("degree", "leading", "denominator"),
+)
+def test_corrupted_image_raises_arithmetic_error(monkeypatch, corrupt):
+    # explicit raises, not asserts, so the checks survive python -O
+    honest = satake.hall_littlewood_p
+    monkeypatch.setattr(satake, "hall_littlewood_p", lambda a, t: corrupt(honest(a, t)))
+    with pytest.raises(ArithmeticError):
+        satake_image.__wrapped__(Partition((2, 0)), 3)
+
+
+def test_non_integral_degree_raises_arithmetic_error(monkeypatch):
+    a = Partition((1, 0))
+    honest = satake_image(a, 3)
+    # the degree 4 of T_(1,0) at p = 3 becomes 4/3
+    bent = satake.SatakeImage(a=a, p=3, poly=honest.poly.scale(Fraction(1, 3)),
+                              scaled=honest.scaled)
+    monkeypatch.setattr(satake, "satake_image", lambda a, p: bent)
+    with pytest.raises(ArithmeticError):
+        degree_via_satake(a, 3)
 
 
 def test_verify_basic_examples():

@@ -1,17 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import partitions
 from heckelab.partitions import Partition, enumerate_partitions, kostka_number
 from heckelab.sympoly import (
     SymPoly,
     denominators_are_powers_of,
+    hall_littlewood_p,
     monomial_symmetric,
     schur,
-    schur_via_tableaux,
     symmetrize_alternant,
 )
 
@@ -97,13 +99,6 @@ def test_schur_examples():
     )
 
 
-def test_schur_two_routes_agree():
-    for n in (2, 3, 4):
-        for total in range(0, 7 if n < 4 else 5):
-            for a in enumerate_partitions(n, total):
-                assert schur(a) == schur_via_tableaux(a), a
-
-
 def test_schur_kostka_coefficients():
     for n in (2, 3, 4):
         for total in range(0, 7 if n < 4 else 6):
@@ -138,6 +133,62 @@ def test_alternant_at_zero_is_schur():
         for total in range(0, 6):
             for a in enumerate_partitions(n, total):
                 assert symmetrize_alternant(a, 0) == schur(a)
+
+
+def test_schur_two_routes_agree():
+    # tableau route (schur = hall_littlewood_p at t = 0) against the bialternant
+    # route (the alternant at t = 0, where v_a(0) = 1)
+    for n in (2, 3, 4):
+        for total in range(0, 7 if n < 4 else 5):
+            for a in enumerate_partitions(n, total):
+                assert schur(a) == symmetrize_alternant(a, 0), a
+
+
+# -- Hall-Littlewood polynomials by the tableau formula ---------------------------
+
+
+def v_factor(a, t):
+    """Spec normalisation v_a(t): over each distinct entry of a, zeros included,
+    with multiplicity m, the product of (1 - t^j)/(1 - t) for j = 1..m."""
+    out = Fraction(1)
+    for mult in Counter(a).values():
+        for j in range(1, mult + 1):
+            out *= (1 - t**j) / (1 - t)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ranks, primes, expected_cases",
+    [((1, 2, 3, 4), (2, 3, 5), 156), ((5,), (2, 7), 38)],
+    ids=("n1-4", "n5"),
+)
+def test_hall_littlewood_matches_alternant_spec(ranks, primes, expected_cases):
+    cases = 0
+    for n in ranks:
+        for total in range(0, 6):
+            for a in enumerate_partitions(n, total):
+                for p in primes:
+                    t = Fraction(1, p)
+                    spec = symmetrize_alternant(a, t)
+                    assert hall_littlewood_p(a, t).scale(v_factor(a, t)) == spec, (a, p)
+                    cases += 1
+    assert cases == expected_cases
+
+
+def test_hall_littlewood_hand_coefficient():
+    # tableaux 12/3 and 13/2 carry psi = 1 - t and 1 - t^2; swapping the
+    # strip condition of (5.8') makes both weights vanish
+    t = Fraction(1, 3)
+    p = hall_littlewood_p(Partition((2, 1, 0)), t)
+    assert p.coefficient((1, 1, 1)) == (1 - t) * (2 + t) == Fraction(14, 9)
+    assert p.coefficient((2, 1, 0)) == 1
+
+
+def test_kostka_stays_integer_after_fractional_zero():
+    # t = 0 and Fraction(0) hash alike; the recursion's cache keeps them apart
+    partitions._tableau_sum.cache_clear()
+    assert hall_littlewood_p(Partition((2, 1, 0)), Fraction(0)) == schur(Partition((2, 1, 0)))
+    assert type(kostka_number.__wrapped__(Partition((2, 1, 0)), Partition((1, 1, 1)))) is int
 
 
 @given(partitions_small, st.integers(2, 7), st.randoms())
