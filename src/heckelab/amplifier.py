@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import solve
 from .partitions import Partition, weight_partitions
 from .satake import satake_image, scaled_image, trivial_point
 from .sympoly import SymPoly
@@ -99,23 +100,6 @@ class SingularSystemError(RuntimeError):
     """The coefficient matrix of the amplifier system is singular at this prime."""
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    size = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col]), None)
-        if piv is None:
-            raise SingularSystemError("singular amplifier matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][size] for r in range(size)]
-
-
 @dataclass
 class AmplifierSystem:
     """Solved amplifier system at one prime.
@@ -166,10 +150,11 @@ def amplifier_coefficients(n: int, p: int, verify: bool = True) -> AmplifierSyst
         img = _generator_product_image(a, p)
         for row, aprime in enumerate(parts):
             matrix[row][col] = img.coefficient(aprime)
-    rhs = [Fraction(0)] * size
-    rhs[parts.index(Partition((1,) * n))] = Fraction(1)
-    sol = _solve_exact(matrix, rhs)
-    y = dict(zip(parts, sol))
+    ones = Partition((1,) * n)
+    _, sol = solve(matrix, [[int(a == ones)] for a in parts])
+    if sol is None:
+        raise SingularSystemError("singular amplifier matrix")
+    y = {a: row[0] for a, row in zip(parts, sol)}
 
     identity_ok = True
     if verify:
@@ -326,5 +311,6 @@ def amplifier_value(
     if is_reference and systems is not None:
         thr = min(float(systems[p].threshold) for p in primes)
         floor = thr**2 / n * len(primes) ** 2
-        assert total >= floor * (1 - 1e-9), (total, floor)
+        if total < floor * (1 - 1e-9):
+            raise ArithmeticError(f"amplifier value {total} below floor {floor}")
     return total

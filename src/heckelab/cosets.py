@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
+from .linalg import matrix_det
 from .partitions import Partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -29,20 +30,6 @@ class CosetBudgetError(RuntimeError):
 
 
 # -- integer normal forms ----------------------------------------------------
-
-
-def matrix_det(m: Matrix) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        if m[0][j]:
-            minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-            total += (-1) ** j * m[0][j] * matrix_det(minor)
-    return total
 
 
 def hermite_normal_form(m: Matrix) -> Matrix:
@@ -205,13 +192,8 @@ def _candidate_count(n: int, weight: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _decompose_weight(n: int, weight: int, p: int, budget: int):
+def _decompose_weight(n: int, weight: int, p: int):
     """Group all Hermite forms of determinant p^weight by elementary divisors."""
-    predicted = _candidate_count(n, weight, p)
-    if predicted > budget:
-        raise CosetBudgetError(
-            f"coset enumeration needs {predicted} candidates (budget {budget})"
-        )
     groups: dict[tuple[int, ...], list[Matrix]] = {}
     for b in _diagonal_types(n, weight):
         diag = [p**e for e in b]
@@ -240,7 +222,12 @@ def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> Cose
     """Complete list of Hermite-form left-coset representatives for a at p."""
     a = Partition(a)
     budget = DEFAULT_BUDGET if budget is None else budget
-    groups = _decompose_weight(a.n, a.weight, p, budget)
+    predicted = _candidate_count(a.n, a.weight, p)
+    if predicted > budget:
+        raise CosetBudgetError(
+            f"coset enumeration needs {predicted} candidates (budget {budget})"
+        )
+    groups = _decompose_weight(a.n, a.weight, p)
     reps = groups.get(_divisors_for(a, p), ())
     return CosetList(a=a, p=p, reps=reps)
 
@@ -289,14 +276,16 @@ def oracle_multiply(
         by_class.setdefault(elementary_divisors(h), []).append(count)
     out: dict[Partition, int] = {}
     for divs, counts in by_class.items():
-        assert len(set(counts)) == 1, f"tally not constant on class {divs}: {counts}"
+        if len(set(counts)) != 1:
+            raise ArithmeticError(f"tally not constant on class {divs}: {counts}")
         exps = []
         for d in divs:
             e = 0
             while d % p == 0:
                 d //= p
                 e += 1
-            assert d == 1
+            if d != 1:
+                raise ArithmeticError(f"elementary divisors {divs} not powers of {p}")
             exps.append(e)
         out[Partition(exps)] = counts[0]
     return out

@@ -26,11 +26,8 @@ from math import gcd, isqrt, sqrt
 
 import numpy as np
 
-from .cosets import (
-    determinantal_divisors,
-    elementary_divisors,
-    matrix_det,
-)
+from .cosets import determinantal_divisors, elementary_divisors
+from .linalg import ldl, matrix_det, solve
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -40,20 +37,6 @@ class PrecisionError(RuntimeError):
 
 
 # -- quadratic forms ----------------------------------------------------------
-
-
-def _leading_minors_positive(q: list[list[Fraction]]) -> bool:
-    n = len(q)
-    a = [row[:] for row in q]
-    for col in range(n):
-        if a[col][col] <= 0:
-            return False
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return True
 
 
 @dataclass(frozen=True)
@@ -66,12 +49,13 @@ class QuadraticForm:
         q = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", q)
         n = len(q)
-        assert all(len(row) == n for row in q)
+        if any(len(row) != n for row in q):
+            raise ValueError("form must be square")
         for i in range(n):
             for j in range(n):
                 if q[i][j] != q[j][i]:
                     raise ValueError("form must be symmetric")
-        if not _leading_minors_positive([list(r) for r in q]):
+        if ldl(q) is None:
             raise ValueError("form must be positive definite")
 
     @property
@@ -121,7 +105,7 @@ class QuadraticForm:
                 [self.entries[i][j] - (lo if i == j else 0) for j in range(n)]
                 for i in range(n)
             ]
-            if _leading_minors_positive(shifted):
+            if ldl(shifted) is not None:
                 break
             lo /= 2
         if lo <= 0:
@@ -131,26 +115,10 @@ class QuadraticForm:
                 [(hi if i == j else 0) - self.entries[i][j] for j in range(n)]
                 for i in range(n)
             ]
-            if _leading_minors_positive(shifted):
+            if ldl(shifted) is not None:
                 break
             hi *= 2
         return lo, hi
-
-    def ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
-        """Completed-square data: y^T Q y = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2."""
-        n = self.n
-        a = [[Fraction(x) for x in row] for row in self.entries]
-        d: list[Fraction] = [Fraction(0)] * n
-        u = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            d[i] = a[i][i]
-            u[i][i] = Fraction(1)
-            for j in range(i + 1, n):
-                u[i][j] = a[i][j] / d[i]
-            for r in range(i + 1, n):
-                for c in range(i + 1, n):
-                    a[r][c] -= a[i][r] * a[i][c] / d[i]
-        return d, u
 
     def digest(self) -> str:
         payload = ";".join(
@@ -311,19 +279,16 @@ def constr_decompose(xs, q, E) -> ConstraintDecomposition:
     k = len(xs)
     n = len(xs[0])
     assert len(q) == k and 1 <= k <= n
+    identity = [[int(i == j) for j in range(k)] for i in range(k)]
     best_det = Fraction(0)
     best_cols: tuple[int, ...] | None = None
     for cols in combinations(range(n), k):
-        sub = [[xs[i][c] for c in cols] for i in range(k)]
-        d = abs(_det_fraction(sub))
-        if d > best_det:
-            best_det = d
-            best_cols = cols
-    if best_cols is None or best_det == 0:
+        d, inv = solve([[xs[i][c] for c in cols] for i in range(k)], identity)
+        if abs(d) > best_det:
+            best_det, best_cols, m1_inv = abs(d), cols, inv
+    if best_cols is None:
         raise ValueError("rows are linearly dependent")
     free = tuple(c for c in range(n) if c not in best_cols)
-    m1 = [[xs[i][c] for c in best_cols] for i in range(k)]
-    m1_inv = _invert_fraction(m1)
     m2 = [[xs[i][c] for c in free] for i in range(k)]
     # y_sel = M1^{-1} q - M1^{-1} M2 y_free + O(||M1^{-1}|| E)
     A = [
@@ -335,43 +300,6 @@ def constr_decompose(xs, q, E) -> ConstraintDecomposition:
     return ConstraintDecomposition(
         selected=best_cols, free=free, A=A, b=b, F=norm * E
     )
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    size = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, size):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
-def _invert_fraction(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(m)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(m)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[size:] for row in a]
 
 
 # -- quadratic shell enumeration ---------------------------------------------------
@@ -392,7 +320,7 @@ def quadratic_shell_points(
     if hi < 0:
         return []
     n = Q.n
-    d, u = Q.ldl()
+    d, u = ldl(Q.entries)
     df = [float(x) for x in d]
     uf = [[float(x) for x in row] for row in u]
     out: list[tuple[int, ...]] = []
@@ -571,7 +499,8 @@ def corollary_count_ladder(
                     tuple(int(v) for v in rng.integers(-X // 2, X // 2 + 1, size=n))
                     for _ in range(k)
                 ]
-                if k == 0 or _det_fraction(_gram_rows(xs)) != 0:
+                gram = [[sum(a * b for a, b in zip(x, z)) for z in xs] for x in xs]
+                if k == 0 or matrix_det(gram) != 0:
                     if any(ystar):
                         break
             q = [Q.apply(ystar, ystar)] + [Q.apply(x, ystar) for x in xs]
@@ -593,11 +522,6 @@ def corollary_count_ladder(
         elapsed=time.time() - t0,
         notes={"ladder": ladder},
     )
-
-
-def _gram_rows(xs):
-    k = len(xs)
-    return [[Fraction(sum(xs[i][t] * xs[j][t] for t in range(len(xs[0])))) for j in range(k)] for i in range(k)]
 
 
 # -- deviation from a scaled isometry ------------------------------------------------
@@ -622,12 +546,16 @@ def _root_bracket(value: int, n: int, prec_bits: int) -> tuple[Fraction, Fractio
 def _int_nth_root(value: int, n: int) -> int:
     if value < 0:
         raise ValueError("negative radicand")
-    r = int(round(value ** (1.0 / n)))
-    while r**n > value:
-        r -= 1
-    while (r + 1) ** n <= value:
-        r += 1
-    return r
+    if value == 0:
+        return 0
+    # Newton's method from above: 2^ceil(bits/n) exceeds the root, and each
+    # step decreases until the floor of the root is reached
+    r = 1 << -(-value.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + value // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def det_power_bracket(det: int, n: int, prec_bits: int = 40) -> tuple[Fraction, Fraction]:
@@ -697,38 +625,6 @@ def deviation_at_most(
             return lo <= delta
         bits *= 2
     raise PrecisionError("deviation test undecidable at maximum precision")
-
-
-def cartan_deviation(gamma: Matrix, g=None, dps: int | None = None) -> float:
-    """Norm of the log-singular values of g^{-1} gamma g, normalized by |det|^{1/n}.
-
-    The norm is the Euclidean norm on the vector of logarithms, a concrete
-    Weyl-invariant choice.  Pass dps for high-precision evaluation.
-    """
-    n = len(gamma)
-    gm = np.array(gamma, dtype=float)
-    if abs(np.linalg.det(gm)) < 1e-12:
-        raise ValueError("matrix must be nonsingular")
-    if g is not None:
-        g = np.array(g, dtype=float)
-        gm = np.linalg.inv(g) @ gm @ g
-    if dps is None:
-        s = np.linalg.svd(gm, compute_uv=False)
-        scale = abs(np.linalg.det(gm)) ** (1.0 / n)
-        logs = np.log(s / scale)
-        return float(np.sqrt(np.sum(logs**2)))
-    import mpmath
-
-    with mpmath.workdps(dps):
-        m = mpmath.matrix(gm.tolist())
-        gram = m.T * m
-        eig, _ = mpmath.eigsy(gram)
-        det = abs(mpmath.det(m))
-        scale = det ** (mpmath.mpf(2) / n)
-        total = mpmath.mpf(0)
-        for i in range(n):
-            total += (mpmath.log(eig[i] / scale) / 2) ** 2
-        return float(mpmath.sqrt(total))
 
 
 # -- the matrix enumerator -----------------------------------------------------------

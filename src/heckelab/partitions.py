@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .linalg import matrix_det
+
 
 class Partition(tuple):
     """Non-increasing tuple of non-negative integers.
@@ -232,25 +234,6 @@ def kostka_matrix(n: int) -> list[list[int]]:
     return [[kostka_number(a, b) for b in pi] for a in pi]
 
 
-def det_integer_matrix(m: list[list[int]]) -> int:
-    """Exact determinant by Bareiss fraction-free elimination: every division is exact in Z."""
-    a = [list(row) for row in m]
-    size = len(a)
-    sign, prev = 1, 1
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-        prev = a[col][col]
-    return sign * prev
-
-
 @dataclass
 class CholeskyReport:
     """Outcome of checking D = A^T A over the weight-n partitions."""
@@ -305,7 +288,7 @@ def verify_cholesky(n: int) -> CholeskyReport:
         n=n,
         size=size,
         product_matches=prod_ok,
-        det_is_one=det_integer_matrix(d) == 1,
+        det_is_one=matrix_det(d) == 1,
         diagonal_ones=diag_ok,
         support_in_dominance=dom_ok,
         lex_triangular_descending=lex_ok,

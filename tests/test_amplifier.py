@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -185,6 +186,14 @@ def test_single_prime_value_positive():
     )
     assert val == pytest.approx(direct)
     assert val > float(systems[101].threshold) ** 2 / 2
+
+
+def test_value_below_floor_raises():
+    # a threshold no genuine system reaches puts the floor above the value
+    tabs = _tables(2, [101])
+    systems = {101: SimpleNamespace(threshold=10**6)}
+    with pytest.raises(ArithmeticError):
+        amplifier_value(tabs, tabs, systems=systems)
 
 
 def test_zero_reference_gives_zero():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from heckelab import cosets
 from heckelab.partitions import Partition
 from heckelab.cosets import (
     CosetBudgetError,
@@ -131,6 +132,15 @@ def test_budget_guard():
         coset_decomposition(Partition((6, 0, 0, 0)), 101, budget=10**4)
 
 
+def test_enumeration_shared_across_budgets():
+    a = Partition((2, 1, 0))
+    small = coset_decomposition(a, 3, budget=10**6)
+    assert coset_decomposition(a, 3, budget=10**7).reps is small.reps
+    # the cached enumeration does not bypass a budget it exceeds
+    with pytest.raises(CosetBudgetError):
+        coset_decomposition(a, 3, budget=10)
+
+
 # -- brute-force multiplication --------------------------------------------------------
 
 
@@ -170,6 +180,34 @@ def test_oracle_degree_consistency():
         out = oracle_multiply(a, b, p)
         lhs = sum(alpha * degree_via_satake(c, p) for c, alpha in out.items())
         assert lhs == degree_via_satake(a, p) * degree_via_satake(b, p)
+
+
+def test_oracle_rejects_nonconstant_tally(monkeypatch):
+    # send one product to diag(4, 1), whose true tally in T_(1,0)^2 at p = 2 is 1
+    target = ((4, 0), (0, 1))
+    corrupted = []
+
+    def corrupt_one(m):
+        h = hermite_reduce_upper(m)
+        if not corrupted and h != target:
+            corrupted.append(h)
+            return target
+        return h
+
+    monkeypatch.setattr(cosets, "hermite_reduce_upper", corrupt_one)
+    with pytest.raises(ArithmeticError):
+        oracle_multiply(Partition((1, 0)), Partition((1, 0)), 2)
+
+
+def test_oracle_rejects_divisors_off_p(monkeypatch):
+    # doubling every product keeps the tally constant but adds a factor 2 at p = 3
+    monkeypatch.setattr(
+        cosets,
+        "hermite_reduce_upper",
+        lambda m: hermite_reduce_upper(tuple(tuple(2 * x for x in row) for row in m)),
+    )
+    with pytest.raises(ArithmeticError):
+        oracle_multiply(Partition((1, 0)), Partition((1, 0)), 3)
 
 
 def test_oracle_budget():

@@ -11,7 +11,6 @@ from heckelab.partitions import (
     contingency_count,
     contingency_matrix,
     count_partitions,
-    det_integer_matrix,
     dominance_leq,
     enumerate_partitions,
     kostka_matrix,
@@ -195,11 +194,3 @@ def test_cholesky_n3_diagonal_entry():
     i = pi.index(Partition((1, 1, 1)))
     assert sum(row[i] ** 2 for row in a) == 6
     assert contingency_count(Partition((1, 1, 1)), Partition((1, 1, 1))) == 6
-
-
-def test_det_integer_matrix():
-    assert det_integer_matrix([[2, 1], [1, 1]]) == 1
-    assert det_integer_matrix([[1, 2], [2, 4]]) == 0
-    assert det_integer_matrix([[0, 1], [1, 0]]) == -1
-    # the first elimination step zeroes the (2, 2) pivot, forcing a row swap
-    assert det_integer_matrix([[1, 2, 3], [2, 4, 5], [1, 5, 6]]) == 3
