@@ -189,9 +189,10 @@ class EigenvalueTable:
     alpha: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        assert set(self.lam) == set(range(1, self.n + 1))
-        if self.alpha is not None:
-            assert len(self.alpha) == self.n
+        if set(self.lam) != set(range(1, self.n + 1)):
+            raise ValueError("need one eigenvalue for each j = 1..n")
+        if self.alpha is not None and len(self.alpha) != self.n:
+            raise ValueError("need n Satake parameters")
 
     @classmethod
     def from_satake_params(cls, n: int, p: int, alpha, tol: float = 1e-8) -> "EigenvalueTable":
@@ -242,7 +243,8 @@ def corollary_big_check(table: EigenvalueTable, system: AmplifierSystem) -> BigC
     genuine parameter set produces such a table.
     """
     n, p = table.n, table.p
-    assert (n, p) == (system.n, system.p)
+    if (n, p) != (system.n, system.p):
+        raise ValueError("table and amplifier system differ in n or p")
     normalized = {
         j: abs(table.lam[j]) / p ** (j * (n - 1) / 2) for j in range(1, n + 1)
     }

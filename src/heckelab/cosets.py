@@ -257,7 +257,8 @@ def oracle_multiply(
     cosets of each class — is the multiplicity of that double coset.
     """
     a, b = Partition(a), Partition(b)
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError("both operators must have the same rank n")
     n = a.n
     budget = DEFAULT_BUDGET if budget is None else budget
     ca = coset_decomposition(a, p, budget)

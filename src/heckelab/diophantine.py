@@ -1,8 +1,12 @@
 """Counting integer points and integer matrices under quadratic constraints.
 
-The enumeration workhorses are exact: float arithmetic is only ever used to
-produce candidate ranges, which are widened and then filtered by exact
-rational comparisons, so no solution can be silently misclassified.  When a
+The enumeration workhorses are exact.  Quadratic shells are enumerated and
+the deviation from a scaled isometry is bracketed in integer arithmetic, on
+the integer matrix scale*Q that every QuadraticForm carries.  Floats only
+propose: the candidate eigenvalue bounds in eigen_bounds (certified
+exactly), the numpy prefilter of the matrix search's column candidates and
+the affine prefilter of the corollary count, both widened and followed by
+an exact check, so no solution can be silently misclassified.  When a
 membership predicate involves the (generally irrational) n-th root of a
 determinant, the root is bracketed by rationals and refined until the
 predicate is decidable; if it never becomes decidable the run aborts rather
@@ -22,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, sqrt
+from math import ceil, floor, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -41,7 +45,11 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric positive-definite matrix with exact rational entries."""
+    """Symmetric positive-definite matrix with exact rational entries.
+
+    scale is the lcm of the entry denominators (1 for an integer form) and
+    scaled the integer matrix scale*Q; both are derived from entries.
+    """
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -57,6 +65,12 @@ class QuadraticForm:
                     raise ValueError("form must be symmetric")
         if ldl(q) is None:
             raise ValueError("form must be positive definite")
+        # scale*Q is the integer matrix behind the integer-exact kernels
+        scale = lcm(*(x.denominator for row in q for x in row))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(
+            self, "scaled", tuple(tuple(int(x * scale) for x in row) for row in q)
+        )
 
     @property
     def n(self) -> int:
@@ -79,12 +93,15 @@ class QuadraticForm:
 
     def apply(self, x, y) -> Fraction:
         """Exact value of x^T Q y."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.entries[i]
-                total += xi * sum(row[j] * y[j] for j in range(self.n) if y[j])
-        return total
+        return Fraction(self.scaled_apply(x, y), self.scale)
+
+    def scaled_apply(self, x, y) -> int:
+        """x^T (scale*Q) y, an integer for integer x and y."""
+        return sum(
+            xi * sum(a * yj for a, yj in zip(row, y))
+            for xi, row in zip(x, self.scaled)
+            if xi
+        )
 
     def times_vector(self, x) -> tuple[Fraction, ...]:
         return tuple(sum(row[j] * x[j] for j in range(self.n)) for row in self.entries)
@@ -277,8 +294,9 @@ def constr_decompose(xs, q, E) -> ConstraintDecomposition:
     q = [Fraction(v) for v in q]
     E = Fraction(E)
     k = len(xs)
-    n = len(xs[0])
-    assert len(q) == k and 1 <= k <= n
+    n = len(xs[0]) if xs else 0
+    if len(q) != k or not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n conditions and one target for each")
     identity = [[int(i == j) for j in range(k)] for i in range(k)]
     best_det = Fraction(0)
     best_cols: tuple[int, ...] | None = None
@@ -311,68 +329,55 @@ def quadratic_shell_points(
     hi,
     coord_bound: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All integer vectors with lo <= y^T Q y <= hi.
+    """All integer vectors with lo <= y^T Q y <= hi (and every |y_i| <=
+    coord_bound when given).
 
-    Recursive completed-square enumeration; float interval endpoints are
-    widened and every emitted point is validated by an exact evaluation.
+    Recursive completed-square enumeration (Fincke–Pohst) in integers only.
+    With Q = u^T diag(d) u, e_i the lcm of the denominators in row i of u
+    and t_i = e_i (u y)_i, W * y^T Q y = sum_i w_i t_i^2 with integers
+    w_i = W d_i / e_i^2, so each coordinate's range comes from an integer
+    square root and no point is missed or admitted by rounding.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if hi < 0:
         return []
     n = Q.n
     d, u = ldl(Q.entries)
-    df = [float(x) for x in d]
-    uf = [[float(x) for x in row] for row in u]
+    e = [lcm(*(x.denominator for x in row)) for row in u]
+    ue = [[int(x * ei) for x in row] for row, ei in zip(u, e)]
+    W = lcm(*((di / ei**2).denominator for di, ei in zip(d, e)))
+    w = [int(W * di / ei**2) for di, ei in zip(d, e)]
+    top, need = floor(W * hi), ceil(W * lo)
     out: list[tuple[int, ...]] = []
     y = [0] * n
 
-    def inner_candidates(c: float, s_float: float):
-        """Integer candidates for the last coordinate: the shell condition
-        confines |y_0 + c| to a thin annulus, solved directly."""
-        outer = sqrt(max(float(hi) - s_float, 0.0) / df[0]) + 1e-9
-        inner = sqrt(max(float(lo) - s_float, 0.0) / df[0])
-        cand = set()
-        for centre_sign in (-1, 1):
-            a_end = -c + centre_sign * inner
-            b_end = -c + centre_sign * outer
-            lo_v = int(min(a_end, b_end)) - 1
-            hi_v = int(max(a_end, b_end)) + 1
-            cand.update(range(lo_v, hi_v + 1))
-        return cand
-
-    def rec(i: int, s_exact: Fraction, s_float: float):
-        if s_exact > hi:
-            return
-        if i == 0:
-            ce = sum(u[0][j] * y[j] for j in range(1, n))
-            for val in sorted(inner_candidates(float(ce), s_float)):
-                if coord_bound is not None and abs(val) > coord_bound:
-                    continue
-                total = s_exact + d[0] * (val + ce) ** 2
-                if lo <= total <= hi:
-                    y[0] = val
-                    out.append(tuple(y))
-            y[0] = 0
-            return
-        c = sum(uf[i][j] * y[j] for j in range(i + 1, n))
-        half = sqrt(max(float(hi) - s_float, 0.0) / df[i]) + 1e-9
-        lo_i = int(-c - half) - 1
-        hi_i = int(-c + half) + 1
+    def ys(t_lo: int, t_hi: int, c: int, ei: int) -> range:
+        """The y_i with t_lo <= ei*y_i + c <= t_hi, within coord_bound."""
+        y_lo, y_hi = -((c - t_lo) // ei), (t_hi - c) // ei
         if coord_bound is not None:
-            lo_i = max(lo_i, -coord_bound)
-            hi_i = min(hi_i, coord_bound)
-        ce = sum(u[i][j] * y[j] for j in range(i + 1, n))
-        for val in range(lo_i, hi_i + 1):
-            y[i] = val
-            inc = d[i] * (val + ce) ** 2
-            if s_exact + inc <= hi:
-                rec(i - 1, s_exact + inc, s_float + float(inc))
-        y[i] = 0
+            y_lo, y_hi = max(y_lo, -coord_bound), min(y_hi, coord_bound)
+        return range(y_lo, y_hi + 1)
 
-    if n == 1:
-        rec(0, Fraction(0), 0.0)
-    else:
-        rec(n - 1, Fraction(0), 0.0)
+    def rec(i: int, s: int):
+        # s = sum_{j > i} w_j t_j^2 <= top
+        c = sum(ue[i][j] * y[j] for j in range(i + 1, n))
+        r = isqrt((top - s) // w[i])
+        if i:
+            for val in ys(-r, r, c, e[i]):
+                y[i] = val
+                t = e[i] * val + c
+                rec(i - 1, s + w[i] * t * t)
+            return
+        # the last coordinate also needs w_0 t_0^2 >= need - s
+        gap = need - s
+        inner = isqrt((gap - 1) // w[0]) + 1 if gap > 0 else 0
+        if inner > r:
+            return
+        rest = tuple(y[1:])
+        for t_lo, t_hi in [(-r, r)] if inner == 0 else [(-r, -inner), (inner, r)]:
+            out.extend((val,) + rest for val in ys(t_lo, t_hi, c, e[0]))
+
+    rec(n - 1, 0)
     return sorted(out)
 
 
@@ -391,21 +396,21 @@ def corollary_count_experiment(
     """Exact count of y with y^T Q y = q_0 + O(X^2 delta) and
     x_j^T Q y = q_j + O(X^2 delta).
 
-    For k = 0 this is a shell count; otherwise the linear conditions pin k
-    coordinates to an affine function of the rest, and the free block is
-    enumerated over a certified box.
+    The whole quadratic shell is enumerated exactly.  For k = 0 the count
+    is its size; otherwise each shell point passes a float prefilter (the k
+    coordinates pinned by the linear conditions must lie within F of the
+    affine function of the rest that constr_decompose gives, widened) and
+    then the exact check of the linear conditions.
     """
     t0 = time.time()
     n = Q.n
-    assert 0 <= k <= n - 2 and len(xs) == k and len(q) == k + 1
+    if not (0 <= k <= n - 2 and len(xs) == k and len(q) == k + 1):
+        raise ValueError("need 0 <= k <= n - 2, k vectors xs and k + 1 targets q")
     delta = Fraction(delta)
     err = Fraction(X) ** 2 * delta
     q = [Fraction(v) for v in q]
     lam_lo, _ = Q.eigen_bounds()
     box = int(_sqrt_upper((q[0] + err) / lam_lo)) + 1
-
-    def quad_ok(y) -> bool:
-        return abs(Q.apply(y, y) - q[0]) <= err
 
     def lin_ok(y) -> bool:
         return all(abs(Q.apply(xs[j], y) - q[j + 1]) <= err for j in range(k))
@@ -577,32 +582,33 @@ def matrix_deviation(gamma: Matrix, Q: QuadraticForm, prec_bits: int = 60) -> fl
 def _deviation_bracket(
     gamma: Matrix, Q: QuadraticForm, prec_bits: int
 ) -> tuple[Fraction, Fraction]:
+    """Bracket of the deviation max_ij |(gamma^T Q gamma)_ij / r - Q_ij| at
+    r = det^(2/n), from the rational bracket [r_lo, r_hi] of r.
+
+    Integer arithmetic throughout: with S = scale*Q and G = gamma^T S gamma,
+    the (i, j) entry at r = a/b is (G_ij b - a S_ij) / (a scale).  The
+    values at r_lo and at r_hi share the denominator (a_lo scale)(a_hi scale)
+    for every entry, so only the two results become Fractions.
+    """
     n = Q.n
     det = matrix_det(gamma)
     if det <= 0:
         raise ValueError("determinant must be positive")
     r_lo, r_hi = det_power_bracket(det, n, prec_bits)
-    gram = _congruent_form(gamma, Q)
-    dev_lo = Fraction(0)
-    dev_hi = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            m = gram[i][j]
-            qij = Q.entries[i][j]
-            # interval of (m - r*q)/r = m/r - q over r in [r_lo, r_hi]
-            cands = [m / r_lo - qij, m / r_hi - qij]
-            elo, ehi = min(cands), max(cands)
-            alo = Fraction(0) if elo <= 0 <= ehi else min(abs(elo), abs(ehi))
-            ahi = max(abs(elo), abs(ehi))
-            dev_lo = max(dev_lo, alo)
-            dev_hi = max(dev_hi, ahi)
-    return dev_lo, dev_hi
-
-
-def _congruent_form(gamma: Matrix, Q: QuadraticForm) -> list[list[Fraction]]:
-    n = Q.n
+    (a1, b1), (a2, b2) = r_lo.as_integer_ratio(), r_hi.as_integer_ratio()
+    d1, d2 = a1 * Q.scale, a2 * Q.scale
     cols = list(zip(*gamma))
-    return [[Q.apply(cols[i], cols[j]) for j in range(n)] for i in range(n)]
+    dev_lo = dev_hi = 0
+    for i in range(n):
+        for j in range(i, n):
+            g, sij = Q.scaled_apply(cols[i], cols[j]), Q.scaled[i][j]
+            # the entry's values at r_lo and at r_hi, times d1*d2; it is
+            # monotone in r, so its range misses 0 only when they share a sign
+            v1, v2 = (g * b1 - a1 * sij) * d2, (g * b2 - a2 * sij) * d1
+            if v1 * v2 > 0:
+                dev_lo = max(dev_lo, min(abs(v1), abs(v2)))
+            dev_hi = max(dev_hi, abs(v1), abs(v2))
+    return Fraction(dev_lo, d1 * d2), Fraction(dev_hi, d1 * d2)
 
 
 def deviation_at_most(
@@ -677,6 +683,12 @@ def enumerate_S_delta(
             w_lo, w_hi = window(qjj)
             shells[qjj] = quadratic_shell_points(Q, w_lo, w_hi, box)
 
+    # the exact windows on the integer Gram entries scale * x_i^T Q x_j
+    scaled_windows = {}
+    for i, j in combinations(range(n), 2):
+        w_lo, w_hi = window(Q.entries[i][j])
+        scaled_windows[i, j] = (ceil(w_lo * Q.scale), floor(w_hi * Q.scale))
+
     nodes = 0
     complete = True
     witnesses: list[Matrix] = []
@@ -733,9 +745,8 @@ def enumerate_S_delta(
             # exact inner-product windows against all fixed columns
             ok = True
             for i, prev in enumerate(fixed):
-                val = Q.apply(prev, col)
-                w_lo, w_hi = window(Q.entries[i][j])
-                if not (w_lo <= val <= w_hi):
+                g_lo, g_hi = scaled_windows[i, j]
+                if not g_lo <= Q.scaled_apply(prev, col) <= g_hi:
                     ok = False
                     break
             if not ok or not _minor_conditions_ok(fixed, col, l):
@@ -802,7 +813,8 @@ def scaling_experiment(
     per-nu target is 3 - 1/(2 nu).
     """
     t0 = time.time()
-    assert Q.n == 4, "the scaling ladder is a rank-4 experiment"
+    if Q.n != 4:
+        raise ValueError("the scaling ladder is a rank-4 experiment")
     ladder = []
     counts = []
     sizes = []

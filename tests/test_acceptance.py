@@ -159,6 +159,8 @@ def test_criterion_7_counting_structure(m, l):
     q = QuadraticForm.identity(4)
     rep = enumerate_S_delta(q, m, l, DELTA)
     assert rep.complete and rep.count == len(rep.witnesses) > 0
+    # deterministic work count next to the wall-clock gate below
+    assert rep.notes["nodes"] == {(16, 2): 1896, (81, 3): 10712}[m, l]
     for w in rep.witnesses:
         assert matrix_det(w) == m
         divs = determinantal_divisors_bruteforce(w)

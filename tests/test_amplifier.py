@@ -126,6 +126,19 @@ def test_trivial_table_witnesses_bound():
     assert rep.contradiction < 1e-9
 
 
+def test_eigenvalue_table_validation():
+    with pytest.raises(ValueError):
+        EigenvalueTable(2, 5, {1: 1.0})  # no eigenvalue for j = 2
+    with pytest.raises(ValueError):
+        EigenvalueTable(2, 5, {1: 1.0, 2: 1.0}, alpha=(1, 1, 1))
+
+
+def test_big_check_rejects_mismatched_system():
+    system = amplifier_coefficients(2, 5, verify=False)
+    with pytest.raises(ValueError):
+        corollary_big_check(EigenvalueTable.trivial(2, 7), system)
+
+
 def test_random_torus_points_satisfy_bound():
     rng = random.Random(5)
     for n in (2, 3, 4):

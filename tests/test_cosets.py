@@ -210,6 +210,12 @@ def test_oracle_rejects_divisors_off_p(monkeypatch):
         oracle_multiply(Partition((1, 0)), Partition((1, 0)), 3)
 
 
+def test_oracle_rejects_mixed_ranks():
+    # under python -O an assert let this return a mixed-rank tally
+    with pytest.raises(ValueError):
+        oracle_multiply((1, 0), (1, 0, 0), 2)
+
+
 def test_oracle_budget():
     with pytest.raises(CosetBudgetError):
         oracle_multiply(Partition((3, 0, 0)), Partition((3, 0, 0)), 5, budget=10**5)

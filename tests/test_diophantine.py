@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
@@ -11,12 +12,14 @@ from heckelab.diophantine import (
     CountReport,
     QuadPoly2,
     QuadraticForm,
+    _deviation_bracket,
     _int_nth_root,
     brute_force_S_delta,
     columns_proportional_mod,
     constr_decompose,
     corollary_count_experiment,
     corollary_count_ladder,
+    det_power_bracket,
     deviation_at_most,
     enumerate_S_delta,
     fit_exponent,
@@ -59,6 +62,45 @@ def all_hadamard_witnesses():
         ) and matrix_det(h) == 16:
             out.append(h)
     return sorted(out)
+
+
+@st.composite
+def rational_spd_forms(draw, max_n=3):
+    """Diagonally dominant symmetric forms with small rational entries, so
+    the completed squares have non-integer coefficients."""
+    n = draw(st.integers(1, max_n))
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[i][j] = q[j][i] = draw(small)
+    for i in range(n):
+        slack = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
+        q[i][i] = sum(abs(x) for x in q[i]) + slack
+    return QuadraticForm(q)
+
+
+def deviation_bracket_spec(gamma, Q, prec_bits):
+    """The deviation bracket entry by entry in Fraction arithmetic."""
+    n = Q.n
+    det = matrix_det(gamma)
+    r_lo, r_hi = det_power_bracket(det, n, prec_bits)
+    cols = list(zip(*gamma))
+    gram = [[Q.apply(cols[i], cols[j]) for j in range(n)] for i in range(n)]
+    dev_lo = Fraction(0)
+    dev_hi = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            m = gram[i][j]
+            qij = Q.entries[i][j]
+            # interval of (m - r*q)/r = m/r - q over r in [r_lo, r_hi]
+            cands = [m / r_lo - qij, m / r_hi - qij]
+            elo, ehi = min(cands), max(cands)
+            alo = Fraction(0) if elo <= 0 <= ehi else min(abs(elo), abs(ehi))
+            ahi = max(abs(elo), abs(ehi))
+            dev_lo = max(dev_lo, alo)
+            dev_hi = max(dev_hi, ahi)
+    return dev_lo, dev_hi
 
 
 # -- quadratic forms ---------------------------------------------------------------
@@ -131,6 +173,12 @@ def test_constr_trivial_cases():
     assert dec.b == [Fraction(5), Fraction(7)] and dec.F == Fraction(1, 8)
 
 
+def test_constr_rejects_mismatched_targets():
+    # under python -O an assert let the second target be dropped silently
+    with pytest.raises(ValueError):
+        constr_decompose([(1, 0, 0)], [3, 5], 0)
+
+
 def test_constr_rejects_dependent_rows():
     with pytest.raises(ValueError):
         constr_decompose([(1, 2, 0), (2, 4, 0)], [1, 1], 0)
@@ -194,6 +242,42 @@ def test_shell_brute_force_equivalence(m):
     assert pts == brute
 
 
+def test_shell_exact_beyond_float_precision():
+    # a float square root misses this point by thousands
+    r = 10**20 + 12345
+    assert quadratic_shell_points(QuadraticForm.identity(1), r * r, r * r) == [(-r,), (r,)]
+
+
+@given(
+    rational_spd_forms(),
+    st.fractions(min_value=-2, max_value=8, max_denominator=5),
+    st.fractions(min_value=0, max_value=4, max_denominator=5),
+    st.sampled_from([None, 1, 2]),
+)
+@example(  # row 0 of u has denominators 2 and 3, so e_0 = 6
+    QuadraticForm(
+        ((1, Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), 2, 0), (Fraction(1, 3), 0, 2))
+    ),
+    Fraction(3),
+    Fraction(2),
+    None,
+)
+@settings(max_examples=60, deadline=None)
+def test_shell_rational_form_brute_force(q, lo, width, coord_bound):
+    hi = lo + width
+    pts = quadratic_shell_points(q, lo, hi, coord_bound)
+    lam_lo, _ = q.eigen_bounds()
+    box = isqrt(floor(max(hi, 0) / lam_lo)) + 1
+    if coord_bound is not None:
+        box = min(box, coord_bound)
+    brute = [
+        y
+        for y in product(range(-box, box + 1), repeat=q.n)
+        if lo <= q.apply(y, y) <= hi
+    ]
+    assert pts == brute
+
+
 # -- corollary-style counts ---------------------------------------------------------------
 
 
@@ -227,6 +311,13 @@ def test_corollary_counts_match_direct_filter():
     ]
     assert rep.count == len(brute)
     assert {w[0] for w in rep.witnesses} == set(map(tuple, brute))
+
+
+def test_corollary_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        corollary_count_experiment(I2, 1, 5, DELTA, [(1, 0)], [25, 0])  # k > n - 2
+    with pytest.raises(ValueError):
+        corollary_count_experiment(I3, 1, 5, DELTA, [(1, 0, 0)], [25])  # no linear target
 
 
 def test_ladder_exponent_fit():
@@ -273,6 +364,17 @@ def test_int_nth_root_near_large_power():
 def test_int_nth_root_is_floor(v, n):
     r = _int_nth_root(v, n)
     assert r**n <= v < (r + 1) ** n
+
+
+@given(rational_spd_forms(), st.data(), st.sampled_from([4, 60]))
+@settings(max_examples=60, deadline=None)
+def test_deviation_bracket_matches_spec(q, data, prec_bits):
+    n = q.n
+    entries = st.integers(-4, 4)
+    gamma = data.draw(
+        st.tuples(*[st.tuples(*[entries] * n)] * n).filter(lambda g: matrix_det(g) > 0)
+    )
+    assert _deviation_bracket(gamma, q, prec_bits) == deviation_bracket_spec(gamma, q, prec_bits)
 
 
 def test_deviation_scale_invariance():
@@ -375,6 +477,11 @@ def test_report_serialization_roundtrip():
     assert len(payload["witnesses"]) == 4
     assert all(len(w) == 4 for w in payload["witnesses"])
     assert "elapsed_s" not in payload
+
+
+def test_scaling_experiment_requires_rank_four():
+    with pytest.raises(ValueError):
+        scaling_experiment(I3, 1, [2])
 
 
 def test_scaling_experiment_single_rung():
