@@ -4,10 +4,13 @@ Left cosets of the double coset of diag(p^{a_1}, ..., p^{a_n}) are
 represented by integer matrices in Hermite form: upper triangular, positive
 diagonal, and each above-diagonal entry reduced modulo the diagonal entry
 of its column.  Enumerating all Hermite forms with determinant p^{|a|} and
-filtering by Smith normal form gives a complete, duplicate-free list, and
-brute-force multiplication of two coset lists yields the structure
-constants of the operator product by tallying Hermite forms of the pairwise
-products.
+filtering by Smith normal form gives a complete, duplicate-free list.
+
+The structure constants of a product of two operators are counted for one
+fixed target per class: the coefficient of the class c in T_a·T_b is the
+number of coset representatives y of b with diag(p^c)·y⁻¹ in the double
+coset of a.  Each count is repeated at the reversed diagonal, another left
+coset of the same class, and the two must agree.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .linalg import matrix_det
-from .partitions import Partition
+from .partitions import Partition, enumerate_partitions
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -232,18 +235,47 @@ def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> Cose
     return CosetList(a=a, p=p, reps=reps)
 
 
-# -- brute-force multiplication ------------------------------------------------
+# -- multiplication by fixed-target counting -----------------------------------
 
 
-def _mul_upper(x: Matrix, y: Matrix, n: int) -> Matrix:
-    """Product of two upper-triangular matrices (result upper triangular)."""
-    return tuple(
-        tuple(
-            sum(x[i][k] * y[k][j] for k in range(i, j + 1)) if j >= i else 0
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def _scaled_inverse(y: Matrix, d: int) -> Matrix:
+    """d·y⁻¹ for an upper-triangular y with positive diagonal and det(y) = d.
+
+    This is the adjugate of y, an integer upper-triangular matrix, found by
+    back-substitution in y·x = d·I; every division is exact.
+    """
+    n = len(y)
+    x = [[0] * n for _ in range(n)]
+    for j in range(n):
+        x[j][j] = d // y[j][j]
+        for i in range(j - 1, -1, -1):
+            s = sum(y[i][k] * x[k][j] for k in range(i + 1, j + 1))
+            x[i][j] = -s // y[i][i]
+    return tuple(tuple(row) for row in x)
+
+
+def _count_target(
+    exps: tuple[int, ...],
+    p: int,
+    d: int,
+    inverses: tuple[Matrix, ...],
+    members: frozenset[Matrix],
+) -> int:
+    """Number of y with γ·y⁻¹ in the double coset of a, for γ = diag(p^exps).
+
+    Each entry of inverses is d·y⁻¹ and members holds the Hermite forms of
+    a's cosets.  γ·y⁻¹ must be integral; being upper triangular with
+    positive diagonal, it lies in the double coset of a exactly when its
+    Hermite form is a member.
+    """
+    scale = [p**e for e in exps]
+    count = 0
+    for x in inverses:
+        if all(s * v % d == 0 for s, row in zip(scale, x) for v in row):
+            g = tuple(tuple(s * v // d for v in row) for s, row in zip(scale, x))
+            if hermite_reduce_upper(g) in members:
+                count += 1
+    return count
 
 
 def oracle_multiply(
@@ -251,42 +283,37 @@ def oracle_multiply(
 ) -> dict[Partition, int]:
     """Structure constants of the product of two double-coset operators.
 
-    Every pairwise product of left-coset representatives is put into Hermite
-    form and tallied; grouping the tallies by Smith form gives one class per
-    double coset, and the tally — checked to be constant across the left
-    cosets of each class — is the multiplicity of that double coset.
+    The coefficient of the class c in T_a·T_b is the number of left cosets
+    K·y of b with γ·y⁻¹ in K·D_a·K, for any one γ in K·D_c·K (Shimura,
+    Introduction to the Arithmetic Theory of Automorphic Functions, §3.1).
+    It is counted for every c of weight |a| + |b| at γ = diag(p^c), and
+    again at the reversed diagonal, which lies in another left coset of the
+    same class whenever the parts of c are not all equal; the two counts
+    must agree.  Classes with coefficient 0 are left out.
     """
     a, b = Partition(a), Partition(b)
     if a.n != b.n:
         raise ValueError("both operators must have the same rank n")
-    n = a.n
     budget = DEFAULT_BUDGET if budget is None else budget
     ca = coset_decomposition(a, p, budget)
     cb = coset_decomposition(b, p, budget)
-    if ca.degree * cb.degree > budget:
-        raise CosetBudgetError(
-            f"{ca.degree * cb.degree} pairwise products exceed budget {budget}"
-        )
-    tally: dict[Matrix, int] = {}
-    for x in ca.reps:
-        for y in cb.reps:
-            h = hermite_reduce_upper(_mul_upper(x, y, n))
-            tally[h] = tally.get(h, 0) + 1
-    by_class: dict[tuple[int, ...], list[int]] = {}
-    for h, count in tally.items():
-        by_class.setdefault(elementary_divisors(h), []).append(count)
+    targets = enumerate_partitions(a.n, a.weight + b.weight)
+    tests = 2 * len(targets) * cb.degree
+    if tests > budget:
+        raise CosetBudgetError(f"{tests} integrality tests exceed budget {budget}")
+    d = p**b.weight
+    inverses = tuple(_scaled_inverse(y, d) for y in cb.reps)
+    members = frozenset(ca.reps)
     out: dict[Partition, int] = {}
-    for divs, counts in by_class.items():
-        if len(set(counts)) != 1:
-            raise ArithmeticError(f"tally not constant on class {divs}: {counts}")
-        exps = []
-        for d in divs:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if d != 1:
-                raise ArithmeticError(f"elementary divisors {divs} not powers of {p}")
-            exps.append(e)
-        out[Partition(exps)] = counts[0]
+    for c in targets:
+        count = _count_target(c, p, d, inverses, members)
+        if c[0] != c[-1]:
+            again = _count_target(c[::-1], p, d, inverses, members)
+            if again != count:
+                raise ArithmeticError(
+                    f"class {tuple(c)} counted {count} at diag(p^c) "
+                    f"but {again} at the reversed diagonal"
+                )
+        if count:
+            out[c] = count
     return out

@@ -683,11 +683,14 @@ def enumerate_S_delta(
             w_lo, w_hi = window(qjj)
             shells[qjj] = quadratic_shell_points(Q, w_lo, w_hi, box)
 
-    # the exact windows on the integer Gram entries scale * x_i^T Q x_j
+    # the exact windows on the integer Gram entries scale * x_i^T Q x_j, and
+    # the float prefilter's windows on x_i^T Q x_j, widened for rounding
     scaled_windows = {}
+    float_windows = {}
     for i, j in combinations(range(n), 2):
         w_lo, w_hi = window(Q.entries[i][j])
         scaled_windows[i, j] = (ceil(w_lo * Q.scale), floor(w_hi * Q.scale))
+        float_windows[i, j] = (float(w_lo) - 0.51, float(w_hi) + 0.51)
 
     nodes = 0
     complete = True
@@ -704,9 +707,9 @@ def enumerate_S_delta(
             return arr
         mask = np.ones(len(arr), dtype=bool)
         for i, col in enumerate(fixed):
-            w_lo, w_hi = window(Q.entries[i][j])
+            f_lo, f_hi = float_windows[i, j]
             vals = arr @ (qf @ np.array(col, dtype=float))
-            mask &= (vals >= float(w_lo) - 0.51) & (vals <= float(w_hi) + 0.51)
+            mask &= (vals >= f_lo) & (vals <= f_hi)
             cv = np.array(col, dtype=np.int64)
             for a, b in pair_idx:
                 mask &= (cv[a] * arr[:, b] - cv[b] * arr[:, a]) % l == 0

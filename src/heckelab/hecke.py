@@ -38,7 +38,8 @@ class HeckeElement:
             c = Fraction(c)
             if c:
                 a = Partition(a)
-                assert a.n == self.n
+                if a.n != self.n:
+                    raise ValueError(f"term {tuple(a)} does not have rank {self.n}")
                 clean[a] = c
         object.__setattr__(self, "terms", clean)
 
@@ -56,11 +57,12 @@ class HeckeElement:
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        assert (self.n, self.p, self.central_twist) == (
+        if (self.n, self.p, self.central_twist) != (
             other.n,
             other.p,
             other.central_twist,
-        )
+        ):
+            raise ValueError("summands differ in rank, prime or central twist")
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = out.get(a, Fraction(0)) + c
@@ -143,7 +145,8 @@ def _expand_in_scaled_basis(f: SymPoly, p: int) -> dict[Partition, Fraction]:
 
 def multiply(e: HeckeElement, f: HeckeElement) -> HeckeElement:
     """Exact product of two elements, via Satake images and basis inversion."""
-    assert e.p == f.p and e.n == f.n
+    if (e.n, e.p) != (f.n, f.p):
+        raise ValueError("factors differ in rank or prime")
     prod = SymPoly.zero(e.n)
     pe, pf = e.p, f.p
     for a, ca in e.terms.items():

@@ -58,7 +58,8 @@ class SymPoly:
             for key, coeff in terms.items():
                 if coeff:
                     canon = tuple(sorted(key, reverse=True))
-                    assert canon == tuple(key), f"non-canonical orbit key {key}"
+                    if canon != tuple(key):
+                        raise ValueError(f"non-canonical orbit key {key}")
                     self.terms[canon] = Fraction(coeff)
 
     # -- constructors ------------------------------------------------------
@@ -76,7 +77,7 @@ class SymPoly:
         """Collapse a dense (monomial -> coeff) dict of a symmetric polynomial.
 
         Reads the coefficient at each orbit's sorted representative and
-        asserts constancy across the orbit.
+        checks constancy across the orbit.
         """
         out: dict[tuple[int, ...], Fraction] = {}
         for key, coeff in dense.items():
@@ -102,7 +103,8 @@ class SymPoly:
         return bool(self.terms)
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("summands differ in the number of variables")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             acc = out.get(key, Fraction(0)) + coeff
@@ -130,7 +132,8 @@ class SymPoly:
         return p
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("factors differ in the number of variables")
         dense: dict[tuple[int, ...], Fraction] = {}
         right = [(key, coeff) for key, coeff in other.terms.items()]
         for key_a, ca in self.terms.items():
@@ -168,7 +171,8 @@ class SymPoly:
 
     def evaluate(self, point):
         """Evaluate at a point (exact for int/Fraction inputs, numeric otherwise)."""
-        assert len(point) == self.n
+        if len(point) != self.n:
+            raise ValueError(f"point has {len(point)} coordinates, not {self.n}")
         point = [Fraction(x) if isinstance(x, int) else x for x in point]
         exact = all(isinstance(x, Fraction) for x in point)
         total = Fraction(0) if exact else 0

@@ -67,6 +67,7 @@ def test_criterion_1_cross_oracle_multiplication():
                     )
                     checked += 1
     elapsed = time.time() - t0
+    assert skipped == 0, f"{skipped} pairs over budget"
     assert elapsed < 300, f"runtime {elapsed:.0f}s exceeds 5 minutes"
     report(1, f"{checked} generator products match the coset oracle exactly "
               f"({skipped} pairs over budget), {elapsed:.0f}s")

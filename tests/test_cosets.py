@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckelab import cosets
-from heckelab.partitions import Partition
+from heckelab.partitions import Partition, enumerate_partitions
 from heckelab.cosets import (
     CosetBudgetError,
     coset_decomposition,
@@ -141,7 +141,7 @@ def test_enumeration_shared_across_budgets():
         coset_decomposition(a, 3, budget=10)
 
 
-# -- brute-force multiplication --------------------------------------------------------
+# -- multiplication by fixed-target counting ----------------------------------------
 
 
 def test_oracle_square_of_first_generator():
@@ -182,32 +182,86 @@ def test_oracle_degree_consistency():
         assert lhs == degree_via_satake(a, p) * degree_via_satake(b, p)
 
 
-def test_oracle_rejects_nonconstant_tally(monkeypatch):
-    # send one product to diag(4, 1), whose true tally in T_(1,0)^2 at p = 2 is 1
-    target = ((4, 0), (0, 1))
-    corrupted = []
+# -- the all-pairs tally: the spec the fixed-target oracle is checked against ---
 
-    def corrupt_one(m):
-        h = hermite_reduce_upper(m)
-        if not corrupted and h != target:
-            corrupted.append(h)
-            return target
-        return h
 
-    monkeypatch.setattr(cosets, "hermite_reduce_upper", corrupt_one)
+def _mul_upper(x, y, n):
+    """Product of two upper-triangular matrices (result upper triangular)."""
+    return tuple(
+        tuple(
+            sum(x[i][k] * y[k][j] for k in range(i, j + 1)) if j >= i else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def oracle_multiply_all_pairs(a, b, p):
+    """Structure constants of T_a·T_b by tallying every pairwise product.
+
+    Every product of a left-coset representative of a with one of b is put
+    into Hermite form and tallied; grouping the tallies by Smith form gives
+    one class per double coset, and the tally, checked to be constant across
+    the left cosets of each class, is the multiplicity of that class.
+    """
+    a, b = Partition(a), Partition(b)
+    n = a.n
+    ca = coset_decomposition(a, p)
+    cb = coset_decomposition(b, p)
+    tally = {}
+    for x in ca.reps:
+        for y in cb.reps:
+            h = hermite_reduce_upper(_mul_upper(x, y, n))
+            tally[h] = tally.get(h, 0) + 1
+    by_class = {}
+    for h, count in tally.items():
+        by_class.setdefault(elementary_divisors(h), []).append(count)
+    out = {}
+    for divs, counts in by_class.items():
+        if len(set(counts)) != 1:
+            raise ArithmeticError(f"tally not constant on class {divs}: {counts}")
+        exps = []
+        for d in divs:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if d != 1:
+                raise ArithmeticError(f"elementary divisors {divs} not powers of {p}")
+            exps.append(e)
+        out[Partition(exps)] = counts[0]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, p, max_weight", [(2, 2, 3), (2, 3, 3), (2, 5, 3), (3, 2, 2), (3, 3, 2)]
+)
+def test_oracle_matches_all_pairs_tally(n, p, max_weight):
+    parts = [a for w in range(max_weight + 1) for a in enumerate_partitions(n, w)]
+    for a in parts:
+        for b in parts:
+            assert oracle_multiply(a, b, p) == oracle_multiply_all_pairs(a, b, p), (a, b)
+
+
+def test_scaled_inverse_is_adjugate():
+    for b, p in ((Partition((2, 1, 0)), 3), (Partition((3, 1, 0, 0)), 2)):
+        d = p**b.weight
+        scalar = tuple(tuple(d * (i == j) for j in range(b.n)) for i in range(b.n))
+        for y in coset_decomposition(b, p).reps:
+            assert _mul_upper(y, cosets._scaled_inverse(y, d), b.n) == scalar
+
+
+def test_oracle_rejects_unequal_diagonal_counts(monkeypatch):
+    # miscount at the reversed diagonal only, e.g. diag(1, 4) for the class
+    # (2, 0) in T_(1,0)^2 at p = 2, whose count at diag(4, 1) is 1
+    count_target = cosets._count_target
+
+    def miscount_reversed(exps, *args):
+        return count_target(exps, *args) + (list(exps) != sorted(exps, reverse=True))
+
+    monkeypatch.setattr(cosets, "_count_target", miscount_reversed)
     with pytest.raises(ArithmeticError):
         oracle_multiply(Partition((1, 0)), Partition((1, 0)), 2)
-
-
-def test_oracle_rejects_divisors_off_p(monkeypatch):
-    # doubling every product keeps the tally constant but adds a factor 2 at p = 3
-    monkeypatch.setattr(
-        cosets,
-        "hermite_reduce_upper",
-        lambda m: hermite_reduce_upper(tuple(tuple(2 * x for x in row) for row in m)),
-    )
-    with pytest.raises(ArithmeticError):
-        oracle_multiply(Partition((1, 0)), Partition((1, 0)), 3)
 
 
 def test_oracle_rejects_mixed_ranks():

@@ -150,3 +150,21 @@ def test_lem2_central_shift_identity():
         assert HeckeElement.generator(a, 3).operator_equal(
             HeckeElement.generator(b, 3)
         )
+
+
+# -- input checks that python -O must not strip ------------------------------------
+
+
+def test_element_rejects_term_of_other_rank():
+    with pytest.raises(ValueError):
+        HeckeElement(n=2, p=3, terms={(1, 0, 0): 1})
+
+
+def test_sum_rejects_other_prime():
+    with pytest.raises(ValueError):
+        HeckeElement.generator((1, 0), 3) + HeckeElement.generator((1, 0), 5)
+
+
+def test_multiply_rejects_other_prime():
+    with pytest.raises(ValueError):
+        multiply(HeckeElement.generator((1, 0), 3), HeckeElement.generator((1, 0), 5))

@@ -219,3 +219,26 @@ def test_exact_evaluation():
 def test_evaluate_negative_exponents():
     laurent = SymPoly(2, {(0, -1): Fraction(1)})
     assert laurent.evaluate([2, 4]) == Fraction(1, 2) + Fraction(1, 4)
+
+
+# -- input checks that python -O must not strip ------------------------------------
+
+
+def test_rejects_non_canonical_orbit_key():
+    with pytest.raises(ValueError):
+        SymPoly(2, {(0, 1): Fraction(1)})
+
+
+def test_sum_rejects_other_number_of_variables():
+    with pytest.raises(ValueError):
+        SymPoly.one(2) + SymPoly.one(3)
+
+
+def test_product_rejects_other_number_of_variables():
+    with pytest.raises(ValueError):
+        SymPoly.one(2) * SymPoly.one(3)
+
+
+def test_evaluate_rejects_point_of_other_length():
+    with pytest.raises(ValueError):
+        SymPoly.one(2).evaluate([1, 2, 3])
