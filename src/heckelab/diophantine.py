@@ -1,21 +1,19 @@
 """Counting integer points and integer matrices under quadratic constraints.
 
-The enumeration workhorses are exact.  Quadratic shells are enumerated and
-the deviation from a scaled isometry is bracketed in integer arithmetic, on
-the integer matrix scale*Q that every QuadraticForm carries.  Floats only
-propose: the candidate eigenvalue bounds in eigen_bounds (certified
-exactly), the numpy prefilter of the matrix search's column candidates and
-the affine prefilter of the corollary count, both widened and followed by
-an exact check, so no solution can be silently misclassified.  When a
-membership predicate involves the (generally irrational) n-th root of a
-determinant, the root is bracketed by rationals and refined until the
-predicate is decidable; if it never becomes decidable the run aborts rather
-than guess.
+The enumeration workhorses are exact.  Quadratic shells are enumerated,
+the linear and Gram-window conditions are tested and the deviation from a
+scaled isometry is bracketed in integer arithmetic, on the integer matrix
+scale*Q that every QuadraticForm carries.  Floats only propose the
+candidate eigenvalue bounds in eigen_bounds, which are certified exactly,
+so no solution can be misclassified by rounding.  When a membership
+predicate involves the (generally irrational) n-th root of a determinant,
+the root is bracketed by rationals and refined until the predicate is
+decidable; if it never becomes decidable the run aborts rather than guess.
 
-The matrix search builds candidates column by column: the first column from
-a quadratic shell, later columns filtered by the inner-product windows
-against the fixed columns and by the congruence conditions forcing all
-2-by-2 minors to vanish modulo the divisor target.
+The matrix search builds matrices column by column.  Each column k starts
+from a pool of points of its quadratic shell; fixing a column filters every
+later pool by the inner-product window against it and by the congruences
+forcing all 2-by-2 minors with it to vanish modulo the divisor target.
 """
 
 from __future__ import annotations
@@ -103,21 +101,23 @@ class QuadraticForm:
             if xi
         )
 
-    def times_vector(self, x) -> tuple[Fraction, ...]:
-        return tuple(sum(row[j] * x[j] for j in range(self.n)) for row in self.entries)
-
     def eigen_bounds(self) -> tuple[Fraction, Fraction]:
         """Certified rational bounds 0 < lo <= lambda_min, lambda_max <= hi.
 
         Candidates come from floating-point eigenvalues; the certificates
-        are exact Sylvester checks on Q - lo*I and hi*I - Q.
+        are exact Sylvester checks on Q - lo*I and hi*I - Q.  A lower
+        candidate that rounds to 0 or below is replaced by the exact bound
+        1/trace(Q^-1) <= lambda_min.
         """
         qf = np.array([[float(x) for x in row] for row in self.entries])
         w = np.linalg.eigvalsh(qf)
         lo = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
         hi = Fraction(float(w[-1])).limit_denominator(10**6) * Fraction(17, 16) + 1
         n = self.n
-        while lo > 0:
+        if lo <= 0:
+            _, inv = solve(self.entries, [[int(i == j) for j in range(n)] for i in range(n)])
+            lo = 1 / sum(inv[i][i] for i in range(n))
+        while True:
             shifted = [
                 [self.entries[i][j] - (lo if i == j else 0) for j in range(n)]
                 for i in range(n)
@@ -125,8 +125,6 @@ class QuadraticForm:
             if ldl(shifted) is not None:
                 break
             lo /= 2
-        if lo <= 0:
-            raise ValueError("could not certify a positive lower eigenvalue bound")
         while True:
             shifted = [
                 [(hi if i == j else 0) - self.entries[i][j] for j in range(n)]
@@ -393,14 +391,12 @@ def corollary_count_experiment(
     q: list,
     collect_witnesses: bool = False,
 ) -> CountReport:
-    """Exact count of y with y^T Q y = q_0 + O(X^2 delta) and
-    x_j^T Q y = q_j + O(X^2 delta).
+    """Exact count of y with |y^T Q y - q_0| <= X^2 delta and
+    |x_j^T Q y - q_j| <= X^2 delta.
 
-    The whole quadratic shell is enumerated exactly.  For k = 0 the count
-    is its size; otherwise each shell point passes a float prefilter (the k
-    coordinates pinned by the linear conditions must lie within F of the
-    affine function of the rest that constr_decompose gives, widened) and
-    then the exact check of the linear conditions.
+    The whole quadratic shell is enumerated exactly, and a shell point is
+    kept when every linear condition holds as an integer window on
+    x_j^T (scale*Q) y; the conditions need not be independent.
     """
     t0 = time.time()
     n = Q.n
@@ -412,38 +408,17 @@ def corollary_count_experiment(
     lam_lo, _ = Q.eigen_bounds()
     box = int(_sqrt_upper((q[0] + err) / lam_lo)) + 1
 
-    def lin_ok(y) -> bool:
-        return all(abs(Q.apply(xs[j], y) - q[j + 1]) <= err for j in range(k))
-
-    witnesses: list[tuple[int, ...]] | None = [] if collect_witnesses else None
-    count = 0
-    shell = quadratic_shell_points(Q, q[0] - err, q[0] + err, box)
-    if k == 0:
-        count = len(shell)
-        if collect_witnesses:
-            witnesses.extend((y,) for y in shell)
-    else:
-        rows = [Q.times_vector(x) for x in xs]
-        dec = constr_decompose(rows, q[1:], err)
-        f_wide = float(dec.F) + 1e-6
-        a_float = [[float(v) for v in row] for row in dec.A]
-        b_float = [float(v) for v in dec.b]
-        for y in shell:
-            # affine prefilter: the pinned block must match A*y_free + b within F
-            free_vals = [y[c] for c in dec.free]
-            pruned = False
-            for r in range(k):
-                centre = b_float[r] + sum(
-                    a_float[r][c] * free_vals[c] for c in range(n - k)
-                )
-                if abs(y[dec.selected[r]] - centre) > f_wide:
-                    pruned = True
-                    break
-            if pruned or not lin_ok(y):
-                continue
-            count += 1
-            if collect_witnesses:
-                witnesses.append((y,))
+    # the linear conditions as integer windows on x_j^T (scale*Q) y
+    imgs = [[sum(a * c for a, c in zip(row, x)) for row in Q.scaled] for x in xs]
+    windows = [(ceil((v - err) * Q.scale), floor((v + err) * Q.scale)) for v in q[1:]]
+    hits = [
+        y
+        for y in quadratic_shell_points(Q, q[0] - err, q[0] + err, box)
+        if all(
+            g_lo <= sum(a * b for a, b in zip(img, y)) <= g_hi
+            for img, (g_lo, g_hi) in zip(imgs, windows)
+        )
+    ]
     return CountReport(
         parameters={
             "kind": "quadratic_linear_count",
@@ -456,8 +431,8 @@ def corollary_count_experiment(
             "Q": Q.digest(),
             "box": box,
         },
-        count=count,
-        witnesses=witnesses,
+        count=len(hits),
+        witnesses=[(y,) for y in hits] if collect_witnesses else None,
         elapsed=time.time() - t0,
     )
 
@@ -636,15 +611,6 @@ def deviation_at_most(
 # -- the matrix enumerator -----------------------------------------------------------
 
 
-def _minor_conditions_ok(cols: list[tuple[int, ...]], new: tuple[int, ...], l: int) -> bool:
-    for fixed in cols:
-        for a in range(len(new)):
-            for b in range(a + 1, len(new)):
-                if (fixed[a] * new[b] - fixed[b] * new[a]) % l:
-                    return False
-    return True
-
-
 def enumerate_S_delta(
     Q: QuadraticForm,
     m: int,
@@ -658,11 +624,13 @@ def enumerate_S_delta(
     determinantal divisor l, and deviation at most delta from a scaled
     isometry of Q.
 
-    Column-by-column search: candidate columns come from per-column
-    quadratic shells; each added column must satisfy the inner-product
-    windows against the fixed columns and the vanishing of all 2-by-2
-    minors modulo l.  Emitted matrices are re-validated independently
-    (determinant, Smith form, deviation, congruences).
+    Column-by-column search over per-column pools of quadratic-shell
+    points: fixing a column keeps, in each later column's pool, the points
+    that meet its integer inner-product window and make all 2-by-2 minors
+    with it vanish modulo l.  notes["nodes"] counts the column prefixes
+    meeting every such condition, and node_budget bounds that count.
+    Emitted matrices are re-validated independently (determinant, Smith
+    form, deviation, congruences).
     """
     t0 = time.time()
     n = Q.n
@@ -683,39 +651,17 @@ def enumerate_S_delta(
             w_lo, w_hi = window(qjj)
             shells[qjj] = quadratic_shell_points(Q, w_lo, w_hi, box)
 
-    # the exact windows on the integer Gram entries scale * x_i^T Q x_j, and
-    # the float prefilter's windows on x_i^T Q x_j, widened for rounding
+    # the windows on the integer Gram entries scale * x_i^T Q x_j
+    pairs = list(combinations(range(n), 2))
     scaled_windows = {}
-    float_windows = {}
-    for i, j in combinations(range(n), 2):
+    for i, j in pairs:
         w_lo, w_hi = window(Q.entries[i][j])
         scaled_windows[i, j] = (ceil(w_lo * Q.scale), floor(w_hi * Q.scale))
-        float_windows[i, j] = (float(w_lo) - 0.51, float(w_hi) + 0.51)
 
     nodes = 0
     complete = True
     witnesses: list[Matrix] = []
     count = 0
-
-    shell_arrays = {k: np.array(v, dtype=np.int64).reshape(-1, n) for k, v in shells.items()}
-    qf = np.array([[float(x) for x in row] for row in Q.entries])
-    pair_idx = list(combinations(range(n), 2))
-
-    def column_candidates(fixed: list[tuple[int, ...]], j: int) -> np.ndarray:
-        arr = shell_arrays[Q.entries[j][j]]
-        if not len(arr):
-            return arr
-        mask = np.ones(len(arr), dtype=bool)
-        for i, col in enumerate(fixed):
-            f_lo, f_hi = float_windows[i, j]
-            vals = arr @ (qf @ np.array(col, dtype=float))
-            mask &= (vals >= f_lo) & (vals <= f_hi)
-            cv = np.array(col, dtype=np.int64)
-            for a, b in pair_idx:
-                mask &= (cv[a] * arr[:, b] - cv[b] * arr[:, a]) % l == 0
-            if not mask.any():
-                break
-        return arr[mask]
 
     def validate(gamma_cols: list[tuple[int, ...]]) -> bool:
         gamma = tuple(zip(*gamma_cols))
@@ -735,37 +681,37 @@ def enumerate_S_delta(
                             return False
         return True
 
-    def search(fixed: list[tuple[int, ...]]):
+    def search(fixed: list[tuple[int, ...]], pools: list[list[tuple[int, ...]]]):
+        # pools[k - j] holds the points of column k's shell that fit every
+        # fixed column, where j = len(fixed)
         nonlocal nodes, count, complete
         j = len(fixed)
-        cands = column_candidates(fixed, j)
-        for row in cands:
+        for col in pools[0]:
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            col = tuple(int(x) for x in row)
-            # exact inner-product windows against all fixed columns
-            ok = True
-            for i, prev in enumerate(fixed):
-                g_lo, g_hi = scaled_windows[i, j]
-                if not g_lo <= Q.scaled_apply(prev, col) <= g_hi:
-                    ok = False
-                    break
-            if not ok or not _minor_conditions_ok(fixed, col, l):
-                continue
+            cols = fixed + [col]
             if j == n - 1:
-                cols = fixed + [col]
                 if validate(cols):
                     count += 1
                     if collect_witnesses:
                         witnesses.append(tuple(zip(*cols)))
-            else:
-                search(fixed + [col])
-                if not complete:
-                    return
+                continue
+            img = [sum(a * c for a, c in zip(row, col)) for row in Q.scaled]
+            later = []
+            for k, pool in enumerate(pools[1:], j + 1):
+                g_lo, g_hi = scaled_windows[j, k]
+                later.append([
+                    x for x in pool
+                    if g_lo <= sum(a * b for a, b in zip(img, x)) <= g_hi
+                    and all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs)
+                ])
+            search(cols, later)
+            if not complete:
+                return
 
-    search([])
+    search([], [shells[Q.entries[k][k]] for k in range(n)])
     witnesses.sort()
     return CountReport(
         parameters={

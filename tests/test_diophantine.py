@@ -28,6 +28,7 @@ from heckelab.diophantine import (
     quadratic_shell_points,
     scaling_experiment,
 )
+from heckelab.linalg import ldl
 
 DELTA = Fraction(1, 10**6)
 I2 = QuadraticForm.identity(2)
@@ -128,6 +129,22 @@ def test_eigen_bounds_certified():
 
     w = np.linalg.eigvalsh([[float(x) for x in row] for row in q.entries])
     assert float(lo) <= w[0] + 1e-9 and w[-1] <= float(hi) + 1e-9
+
+
+# lambda_min rounds to 0 in the float candidate: about 1e-7 and 1e-8
+TINY_LAMBDA_MIN_FORMS = [
+    ((Fraction(1, 10**7), 0), (0, 1)),
+    ((1, -(10**4)), (-(10**4), 10**8 + 1)),
+]
+
+
+@pytest.mark.parametrize("entries", TINY_LAMBDA_MIN_FORMS)
+def test_eigen_bounds_tiny_lambda_min(entries):
+    q = QuadraticForm(entries)
+    lo, _ = q.eigen_bounds()
+    assert 0 < lo
+    shifted = [[q.entries[i][j] - (lo if i == j else 0) for j in range(q.n)] for i in range(q.n)]
+    assert ldl(shifted) is not None
 
 
 def test_random_spd_deterministic():
@@ -294,23 +311,44 @@ def test_corollary_plane_circle_stays_small():
         assert rep.count <= 48
 
 
-def test_corollary_counts_match_direct_filter():
-    q = QuadraticForm.random_spd(3, seed=4)
-    X = 8
-    xs = [(1, 2, -1)]
-    ystar = (2, -3, 1)
-    targets = [q.apply(ystar, ystar), q.apply(xs[0], ystar)]
-    rep = corollary_count_experiment(q, 1, X, Fraction(1, X**4), xs, targets, collect_witnesses=True)
-    err = Fraction(X) ** 2 * Fraction(1, X**4)
-    box = 40
+def planted_targets(q, xs, ystar):
+    return [q.apply(ystar, ystar)] + [q.apply(x, ystar) for x in xs]
+
+
+RATIONAL_Q = QuadraticForm((
+    (Fraction(3, 2), Fraction(1, 3), 0),
+    (Fraction(1, 3), 1, Fraction(1, 5)),
+    (0, Fraction(1, 5), Fraction(5, 4)),
+))
+SPD_4 = QuadraticForm.random_spd(3, seed=4)
+
+
+@pytest.mark.parametrize(
+    "q,X,delta,xs,targets,box,expected",
+    [
+        (SPD_4, 8, Fraction(1, 8**4), [(1, 2, -1)],
+         planted_targets(SPD_4, [(1, 2, -1)], (2, -3, 1)), 40, None),
+        # scale 60: each integer window is a rational window times 60
+        (RATIONAL_Q, 6, Fraction(1, 12), [(1, -1, 2)],
+         planted_targets(RATIONAL_Q, [(1, -1, 2)], (2, -1, 1)), 6, 25),
+        # linearly dependent conditions: y_0 = 1 twice, then |y|^2 = 14
+        (I4, 6, Fraction(1, 216), [(1, 0, 0, 0), (2, 0, 0, 0)], [14, 1, 2], 4, 24),
+    ],
+    ids=["random-spd", "rational-scale-60", "dependent-conditions"],
+)
+def test_corollary_counts_match_direct_filter(q, X, delta, xs, targets, box, expected):
+    rep = corollary_count_experiment(q, len(xs), X, delta, xs, targets, collect_witnesses=True)
+    err = Fraction(X) ** 2 * delta
     brute = [
         y
-        for y in product(range(-box, box + 1), repeat=3)
+        for y in product(range(-box, box + 1), repeat=q.n)
         if abs(q.apply(y, y) - targets[0]) <= err
-        and abs(q.apply(xs[0], y) - targets[1]) <= err
+        and all(abs(q.apply(x, y) - t) <= err for x, t in zip(xs, targets[1:]))
     ]
     assert rep.count == len(brute)
-    assert {w[0] for w in rep.witnesses} == set(map(tuple, brute))
+    assert {w[0] for w in rep.witnesses} == set(brute)
+    if expected is not None:
+        assert rep.count == expected
 
 
 def test_corollary_rejects_bad_shapes():
@@ -411,6 +449,58 @@ def test_small_cases_match_brute_force():
     ):
         rep = enumerate_S_delta(q, m, l, DELTA)
         assert rep.witnesses == brute_force_S_delta(q, m, l, DELTA, box), (m, l)
+
+
+@pytest.mark.parametrize("q,m,l,delta,prefixes", [
+    (I3, 2, 1, Fraction(2, 5), 306),
+    (I3, 4, 2, Fraction(2, 5), None),
+], ids=["I3-m2-l1", "I3-m4-l2"])
+def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
+    """nodes is the number of column prefixes (c_0, ..., c_j) of shell points
+    meeting every pairwise Gram window and minor congruence."""
+    n = q.n
+    r_lo, r_hi = det_power_bracket(m, n, 60)
+
+    def window(qij):
+        ends = [r * (qij + s * delta) for r in (r_lo, r_hi) for s in (-1, 1)]
+        return min(ends), max(ends)
+
+    def fits(cols):
+        for i, j in combinations(range(len(cols)), 2):
+            w_lo, w_hi = window(q.entries[i][j])
+            if not w_lo <= q.apply(cols[i], cols[j]) <= w_hi:
+                return False
+            if any(
+                (cols[i][a] * cols[j][b] - cols[i][b] * cols[j][a]) % l
+                for a, b in combinations(range(n), 2)
+            ):
+                return False
+        return True
+
+    shells = [quadratic_shell_points(q, *window(q.entries[k][k])) for k in range(n)]
+    brute = sum(
+        fits(cols) for j in range(1, n + 1) for cols in product(*shells[:j])
+    )
+    rep = enumerate_S_delta(q, m, l, delta, collect_witnesses=False)
+    assert rep.notes["nodes"] == brute
+    if prefixes is not None:
+        assert brute == prefixes
+
+
+def test_S_delta_on_ill_conditioned_equivalent_form():
+    # Q = U^T U with U = ((1, -10^4), (0, 1)), so gamma -> U gamma U^-1 maps
+    # Q's matrices onto I_2's; lambda_min(Q) is about 1e-8
+    q = QuadraticForm(TINY_LAMBDA_MIN_FORMS[1])
+    rep, rep_i2 = enumerate_S_delta(q, 5, 5, DELTA), enumerate_S_delta(I2, 5, 5, DELTA)
+    u, u_inv = ((1, -(10**4)), (0, 1)), ((1, 10**4), (0, 1))
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+        )
+
+    assert rep.count == rep_i2.count == 8
+    assert sorted(mul(mul(u, g), u_inv) for g in rep.witnesses) == rep_i2.witnesses
 
 
 def test_rank_two_second_divisor_forces_det():
