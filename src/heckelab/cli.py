@@ -52,6 +52,17 @@ def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
     raise argparse.ArgumentTypeError(f"unknown Q source {source!r}")
 
 
+def _flat_row(row: dict) -> dict:
+    """A ladder row for CSV: a dict value becomes one column per key, outer.inner."""
+    out = {}
+    for k, v in row.items():
+        if isinstance(v, dict):
+            out.update({f"{k}.{kk}": vv for kk, vv in v.items()})
+        else:
+            out[k] = v
+    return out
+
+
 def _emit(args, payload: dict, ladder_rows: list[dict] | None = None) -> None:
     payload = {
         "version": __version__,
@@ -63,6 +74,7 @@ def _emit(args, payload: dict, ladder_rows: list[dict] | None = None) -> None:
         **payload,
     }
     if args.format == "csv" and ladder_rows:
+        ladder_rows = [_flat_row(row) for row in ladder_rows]
         cols = sorted({k for row in ladder_rows for k in row})
         lines = [",".join(cols)]
         lines += [",".join(str(row.get(c, "")) for c in cols) for row in ladder_rows]

@@ -10,10 +10,18 @@ predicate involves the (generally irrational) n-th root of a determinant,
 the root is bracketed by rationals and refined until the predicate is
 decidable; if it never becomes decidable the run aborts rather than guess.
 
+Shell points under linear conditions (integer windows g_lo <= v . y <= g_hi)
+are generated, not filtered: the enumeration runs on a unimodular basis in
+which each independent window bounds one outer coordinate.
+
 The matrix search builds matrices column by column.  Each column k starts
 from a pool of points of its quadratic shell; fixing a column filters every
 later pool by the inner-product window against it and by the congruences
-forcing all 2-by-2 minors with it to vanish modulo the divisor target.
+forcing all 2-by-2 minors with it to vanish modulo the divisor target.  The
+minors and gcds of the fixed columns are carried down the search, so a full
+matrix is decided without re-deriving them: its determinant is one dot
+product, its divisors two gcds, and the deviation test reuses the known
+determinant.
 """
 
 from __future__ import annotations
@@ -23,13 +31,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
+from operator import mul
 
 import numpy as np
 
-from .cosets import determinantal_divisors, elementary_divisors
-from .linalg import ldl, matrix_det, solve
+from .cosets import determinantal_divisors
+from .linalg import column_echelon, ldl, lll, matrix_det, solve
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -105,15 +115,18 @@ class QuadraticForm:
         """Certified rational bounds 0 < lo <= lambda_min, lambda_max <= hi.
 
         Candidates come from floating-point eigenvalues; the certificates
-        are exact Sylvester checks on Q - lo*I and hi*I - Q.  A lower
-        candidate that rounds to 0 or below is replaced by the exact bound
-        1/trace(Q^-1) <= lambda_min.
+        are exact Sylvester checks on Q - lo*I and hi*I - Q.  When an entry
+        or an eigenvalue is beyond float range, the candidates are the exact
+        bounds 1/trace(Q^-1) <= lambda_min and lambda_max <= trace(Q); a
+        lower candidate that rounds to 0 or below is replaced by the former.
         """
-        qf = np.array([[float(x) for x in row] for row in self.entries])
-        w = np.linalg.eigvalsh(qf)
-        lo = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
-        hi = Fraction(float(w[-1])).limit_denominator(10**6) * Fraction(17, 16) + 1
         n = self.n
+        try:
+            w = np.linalg.eigvalsh([[float(x) for x in row] for row in self.entries])
+            lo = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
+            hi = Fraction(float(w[-1])).limit_denominator(10**6) * Fraction(17, 16) + 1
+        except (OverflowError, ValueError):  # float() of a huge entry, Fraction(inf or nan)
+            lo, hi = Fraction(0), sum(self.entries[i][i] for i in range(n))
         if lo <= 0:
             _, inv = solve(self.entries, [[int(i == j) for j in range(n)] for i in range(n)])
             lo = 1 / sum(inv[i][i] for i in range(n))
@@ -261,63 +274,6 @@ def lembp_count(
     )
 
 
-# -- affine elimination from linear conditions -------------------------------------
-
-
-@dataclass
-class ConstraintDecomposition:
-    """Affine description of the coordinates pinned by linear conditions.
-
-    selected holds the k coordinate indices of the chosen maximal minor; for
-    any y satisfying the conditions within E, the selected block equals
-    A * y_free + b up to F in every coordinate.
-    """
-
-    selected: tuple[int, ...]
-    free: tuple[int, ...]
-    A: list[list[Fraction]]
-    b: list[Fraction]
-    F: Fraction
-
-
-def constr_decompose(xs, q, E) -> ConstraintDecomposition:
-    """Eliminate k coordinates using the conditions x_i . y = q_i + O(E).
-
-    Picks the k-by-k minor of the stacked row matrix with the largest
-    absolute determinant (first subset in lexicographic column order on
-    ties) and solves for those coordinates; F bounds the leakage of the
-    per-condition error E through the inverse minor (row-sum norm).
-    """
-    xs = [tuple(Fraction(v) for v in x) for x in xs]
-    q = [Fraction(v) for v in q]
-    E = Fraction(E)
-    k = len(xs)
-    n = len(xs[0]) if xs else 0
-    if len(q) != k or not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n conditions and one target for each")
-    identity = [[int(i == j) for j in range(k)] for i in range(k)]
-    best_det = Fraction(0)
-    best_cols: tuple[int, ...] | None = None
-    for cols in combinations(range(n), k):
-        d, inv = solve([[xs[i][c] for c in cols] for i in range(k)], identity)
-        if abs(d) > best_det:
-            best_det, best_cols, m1_inv = abs(d), cols, inv
-    if best_cols is None:
-        raise ValueError("rows are linearly dependent")
-    free = tuple(c for c in range(n) if c not in best_cols)
-    m2 = [[xs[i][c] for c in free] for i in range(k)]
-    # y_sel = M1^{-1} q - M1^{-1} M2 y_free + O(||M1^{-1}|| E)
-    A = [
-        [-sum(m1_inv[r][i] * m2[i][c] for i in range(k)) for c in range(n - k)]
-        for r in range(k)
-    ]
-    b = [sum(m1_inv[r][i] * q[i] for i in range(k)) for r in range(k)]
-    norm = max(sum(abs(x) for x in row) for row in m1_inv)
-    return ConstraintDecomposition(
-        selected=best_cols, free=free, A=A, b=b, F=norm * E
-    )
-
-
 # -- quadratic shell enumeration ---------------------------------------------------
 
 
@@ -326,43 +282,87 @@ def quadratic_shell_points(
     lo,
     hi,
     coord_bound: int | None = None,
+    *,
+    windows=(),
 ) -> list[tuple[int, ...]]:
-    """All integer vectors with lo <= y^T Q y <= hi (and every |y_i| <=
-    coord_bound when given).
+    """All integer vectors with lo <= y^T Q y <= hi, sorted (and every
+    |y_i| <= coord_bound when given, and g_lo <= v . y <= g_hi for every
+    (v, g_lo, g_hi) in windows, v an integer vector).
 
     Recursive completed-square enumeration (Fincke–Pohst) in integers only.
     With Q = u^T diag(d) u, e_i the lcm of the denominators in row i of u
     and t_i = e_i (u y)_i, W * y^T Q y = sum_i w_i t_i^2 with integers
     w_i = W d_i / e_i^2, so each coordinate's range comes from an integer
     square root and no point is missed or admitted by rounding.
+
+    The enumeration runs on a unimodular basis U, y = U z, with z
+    enumerated on U^T Q U.  Windows are generated, not filtered: with the
+    rows v stacked into V and V U = H from column_echelon (the r pivots in
+    the last r columns), each of z's r outer coordinates is cut to the
+    values its pivot row's window allows given the coordinates already
+    fixed.  A row without a pivot (dependent on the earlier rows) is
+    checked as a filter on the points found, so dependent and inconsistent
+    conditions need no special case.  The other n - r columns of U (all
+    of them without windows) are LLL-reduced under Q, so that a skewed
+    form or kernel basis does not blow up the ranges of the outer levels;
+    for an already reduced form, such as I_n, U stays the identity.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if hi < 0:
         return []
     n = Q.n
-    d, u = ldl(Q.entries)
+    if any(len(v) != n for v, _, _ in windows):
+        raise ValueError("every window vector needs one entry per coordinate")
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    U, H, pivot = column_echelon([v for v, _, _ in windows]) if windows else (identity, [], [])
+    # the columns left of the pivots span V's kernel: any basis of it keeps
+    # H, and an LLL-reduced one keeps the ranges of the levels tight
+    r = sum(p is not None for p in pivot)
+    cols = [list(col) for col in zip(*U)]
+    cols[: n - r] = lll(cols[: n - r], Q.scaled_apply)
+    U = [list(row) for row in zip(*cols)]
+    plain = U == identity
+    form = Q.entries
+    if not plain:
+        SU = [[sum(map(mul, row, col)) for col in cols] for row in Q.scaled]
+        form = [[Fraction(sum(map(mul, c, sc)), Q.scale) for sc in zip(*SU)] for c in cols]
+    # win[i]: the window on coordinate i from its pivot row
+    win: list[tuple | None] = [None] * n
+    dependent = []
+    for h, p, window in zip(H, pivot, windows):
+        if p is None:
+            dependent.append(window)
+        else:
+            rest = [(c, h[c]) for c in range(p + 1, n) if h[c]]
+            win[p] = (h[p], rest, window[1], window[2])
+    d, u = ldl(form)
     e = [lcm(*(x.denominator for x in row)) for row in u]
     ue = [[int(x * ei) for x in row] for row, ei in zip(u, e)]
     W = lcm(*((di / ei**2).denominator for di, ei in zip(d, e)))
     w = [int(W * di / ei**2) for di, ei in zip(d, e)]
     top, need = floor(W * hi), ceil(W * lo)
     out: list[tuple[int, ...]] = []
-    y = [0] * n
+    z = [0] * n
+    bound = coord_bound if plain else None
 
-    def ys(t_lo: int, t_hi: int, c: int, ei: int) -> range:
-        """The y_i with t_lo <= ei*y_i + c <= t_hi, within coord_bound."""
-        y_lo, y_hi = -((c - t_lo) // ei), (t_hi - c) // ei
-        if coord_bound is not None:
-            y_lo, y_hi = max(y_lo, -coord_bound), min(y_hi, coord_bound)
-        return range(y_lo, y_hi + 1)
+    def zs(i: int, t_lo: int, t_hi: int, c: int) -> range:
+        """The z_i with t_lo <= e_i*z_i + c <= t_hi, within bound and win[i]."""
+        z_lo, z_hi = -((c - t_lo) // e[i]), (t_hi - c) // e[i]
+        if bound is not None:
+            z_lo, z_hi = max(z_lo, -bound), min(z_hi, bound)
+        if win[i] is not None:
+            h, rest, g_lo, g_hi = win[i]
+            off = sum(a * z[j] for j, a in rest)
+            z_lo, z_hi = max(z_lo, -((off - g_lo) // h)), min(z_hi, (g_hi - off) // h)
+        return range(z_lo, z_hi + 1)
 
     def rec(i: int, s: int):
         # s = sum_{j > i} w_j t_j^2 <= top
-        c = sum(ue[i][j] * y[j] for j in range(i + 1, n))
+        c = sum(ue[i][j] * z[j] for j in range(i + 1, n))
         r = isqrt((top - s) // w[i])
         if i:
-            for val in ys(-r, r, c, e[i]):
-                y[i] = val
+            for val in zs(i, -r, r, c):
+                z[i] = val
                 t = e[i] * val + c
                 rec(i - 1, s + w[i] * t * t)
             return
@@ -371,11 +371,20 @@ def quadratic_shell_points(
         inner = isqrt((gap - 1) // w[0]) + 1 if gap > 0 else 0
         if inner > r:
             return
-        rest = tuple(y[1:])
+        rest = tuple(z[1:])
         for t_lo, t_hi in [(-r, r)] if inner == 0 else [(-r, -inner), (inner, r)]:
-            out.extend((val,) + rest for val in ys(t_lo, t_hi, c, e[0]))
+            out.extend((val,) + rest for val in zs(0, t_lo, t_hi, c))
 
     rec(n - 1, 0)
+    if not plain:
+        out = [tuple(sum(map(mul, row, pt)) for row in U) for pt in out]
+        if coord_bound is not None:
+            out = [y for y in out if all(abs(yi) <= coord_bound for yi in y)]
+    if dependent:
+        out = [
+            y for y in out
+            if all(g_lo <= sum(map(mul, v, y)) <= g_hi for v, g_lo, g_hi in dependent)
+        ]
     return sorted(out)
 
 
@@ -394,9 +403,9 @@ def corollary_count_experiment(
     """Exact count of y with |y^T Q y - q_0| <= X^2 delta and
     |x_j^T Q y - q_j| <= X^2 delta.
 
-    The whole quadratic shell is enumerated exactly, and a shell point is
-    kept when every linear condition holds as an integer window on
-    x_j^T (scale*Q) y; the conditions need not be independent.
+    Each linear condition is an integer window on x_j^T (scale*Q) y, and
+    quadratic_shell_points generates the shell points inside all of them
+    exactly; the conditions need not be independent.
     """
     t0 = time.time()
     n = Q.n
@@ -407,18 +416,15 @@ def corollary_count_experiment(
     q = [Fraction(v) for v in q]
     lam_lo, _ = Q.eigen_bounds()
     box = int(_sqrt_upper((q[0] + err) / lam_lo)) + 1
-
-    # the linear conditions as integer windows on x_j^T (scale*Q) y
-    imgs = [[sum(a * c for a, c in zip(row, x)) for row in Q.scaled] for x in xs]
-    windows = [(ceil((v - err) * Q.scale), floor((v + err) * Q.scale)) for v in q[1:]]
-    hits = [
-        y
-        for y in quadratic_shell_points(Q, q[0] - err, q[0] + err, box)
-        if all(
-            g_lo <= sum(a * b for a, b in zip(img, y)) <= g_hi
-            for img, (g_lo, g_hi) in zip(imgs, windows)
+    windows = [
+        (
+            [sum(map(mul, row, x)) for row in Q.scaled],
+            ceil((v - err) * Q.scale),
+            floor((v + err) * Q.scale),
         )
+        for x, v in zip(xs, q[1:])
     ]
+    hits = quadratic_shell_points(Q, q[0] - err, q[0] + err, box, windows=windows)
     return CountReport(
         parameters={
             "kind": "quadratic_linear_count",
@@ -558,46 +564,55 @@ def _deviation_bracket(
     gamma: Matrix, Q: QuadraticForm, prec_bits: int
 ) -> tuple[Fraction, Fraction]:
     """Bracket of the deviation max_ij |(gamma^T Q gamma)_ij / r - Q_ij| at
-    r = det^(2/n), from the rational bracket [r_lo, r_hi] of r.
+    r = det^(2/n), from the rational bracket [r_lo, r_hi] of r."""
+    return _gram_deviation_bracket(
+        _gram_entries(gamma, Q), Q.scale, det_power_bracket(matrix_det(gamma), Q.n, prec_bits)
+    )
 
-    Integer arithmetic throughout: with S = scale*Q and G = gamma^T S gamma,
-    the (i, j) entry at r = a/b is (G_ij b - a S_ij) / (a scale).  The
-    values at r_lo and at r_hi share the denominator (a_lo scale)(a_hi scale)
-    for every entry, so only the two results become Fractions.
-    """
+
+def _gram_entries(gamma: Matrix, Q: QuadraticForm) -> list[tuple[int, int]]:
+    """The pairs (G_ij, S_ij) for i <= j, with S = scale*Q and G = gamma^T S gamma."""
     n = Q.n
-    det = matrix_det(gamma)
-    if det <= 0:
-        raise ValueError("determinant must be positive")
-    r_lo, r_hi = det_power_bracket(det, n, prec_bits)
-    (a1, b1), (a2, b2) = r_lo.as_integer_ratio(), r_hi.as_integer_ratio()
-    d1, d2 = a1 * Q.scale, a2 * Q.scale
     cols = list(zip(*gamma))
+    return [
+        (Q.scaled_apply(cols[i], cols[j]), Q.scaled[i][j])
+        for i in range(n)
+        for j in range(i, n)
+    ]
+
+
+def _gram_deviation_bracket(
+    entries, scale: int, r_bracket: tuple[Fraction, Fraction]
+) -> tuple[Fraction, Fraction]:
+    """Bracket of max |G_ij / (r scale) - S_ij / scale| over the pairs
+    (G_ij, S_ij) in entries, for r in r_bracket.
+
+    Integer arithmetic throughout: the entry at r = a/b is
+    (G_ij b - a S_ij) / (a scale).  The values at r_lo and at r_hi share the
+    denominator (a_lo scale)(a_hi scale) for every entry, so only the two
+    results become Fractions.
+    """
+    r_lo, r_hi = r_bracket
+    (a1, b1), (a2, b2) = r_lo.as_integer_ratio(), r_hi.as_integer_ratio()
+    d1, d2 = a1 * scale, a2 * scale
     dev_lo = dev_hi = 0
-    for i in range(n):
-        for j in range(i, n):
-            g, sij = Q.scaled_apply(cols[i], cols[j]), Q.scaled[i][j]
-            # the entry's values at r_lo and at r_hi, times d1*d2; it is
-            # monotone in r, so its range misses 0 only when they share a sign
-            v1, v2 = (g * b1 - a1 * sij) * d2, (g * b2 - a2 * sij) * d1
-            if v1 * v2 > 0:
-                dev_lo = max(dev_lo, min(abs(v1), abs(v2)))
-            dev_hi = max(dev_hi, abs(v1), abs(v2))
+    for g, sij in entries:
+        # the entry's values at r_lo and at r_hi, times d1*d2; it is
+        # monotone in r, so its range misses 0 only when they share a sign
+        v1, v2 = (g * b1 - a1 * sij) * d2, (g * b2 - a2 * sij) * d1
+        if v1 * v2 > 0:
+            dev_lo = max(dev_lo, min(abs(v1), abs(v2)))
+        dev_hi = max(dev_hi, abs(v1), abs(v2))
     return Fraction(dev_lo, d1 * d2), Fraction(dev_hi, d1 * d2)
 
 
-def deviation_at_most(
-    gamma: Matrix, Q: QuadraticForm, delta, prec_bits: int = 60, max_bits: int = 4096
-) -> bool:
-    """Exact membership test for matrix deviation <= delta.
-
-    Refines the determinant-root bracket until the comparison is decidable;
-    aborts if the test is still ambiguous at max_bits (boundary case).
-    """
-    delta = Fraction(delta)
+def _deviation_decided(entries, scale: int, delta: Fraction, bracket, prec_bits: int,
+                       max_bits: int) -> bool:
+    """deviation <= delta for the Gram entries of _gram_entries, with
+    bracket(bits) the bracket of det^(2/n) of that precision."""
     bits = prec_bits
     while bits <= max_bits:
-        lo, hi = _deviation_bracket(gamma, Q, bits)
+        lo, hi = _gram_deviation_bracket(entries, scale, bracket(bits))
         if hi <= delta:
             return True
         if lo > delta:
@@ -608,7 +623,52 @@ def deviation_at_most(
     raise PrecisionError("deviation test undecidable at maximum precision")
 
 
+def deviation_at_most(
+    gamma: Matrix, Q: QuadraticForm, delta, prec_bits: int = 60, max_bits: int = 4096
+) -> bool:
+    """Exact membership test for matrix deviation <= delta.
+
+    Refines the determinant-root bracket until the comparison is decidable;
+    aborts if the test is still ambiguous at max_bits (boundary case).
+    """
+    det = matrix_det(gamma)
+    return _deviation_decided(
+        _gram_entries(gamma, Q), Q.scale, Fraction(delta),
+        lambda bits: det_power_bracket(det, Q.n, bits), prec_bits, max_bits,
+    )
+
+
 # -- the matrix enumerator -----------------------------------------------------------
+
+
+def _extend_minors(minors: dict, col) -> dict:
+    """The (j+1)-minors of the matrix (fixed | col), keyed by their sorted
+    row tuples, from the j-minors of fixed: one Laplace step along col."""
+    j = len(next(iter(minors)))
+    out = {}
+    for rows in combinations(range(len(col)), j + 1):
+        acc = 0
+        for t, r in enumerate(rows):
+            if col[r]:
+                term = col[r] * minors[rows[:t] + rows[t + 1:]]
+                acc += -term if (t + j) % 2 else term
+        out[rows] = acc
+    return out
+
+
+def _minor_gcd(g: int, fixed, x, stop: int) -> int:
+    """gcd of g and the 2-by-2 minors of each fixed column with x.
+
+    It returns early once the gcd equals stop, which is exact only when
+    stop divides g and every such minor (stop = 1 always may).
+    """
+    pairs = list(combinations(range(len(x)), 2))
+    for f in fixed:
+        for a, b in pairs:
+            if g == stop:
+                return g
+            g = gcd(g, f[a] * x[b] - f[b] * x[a])
+    return g
 
 
 def enumerate_S_delta(
@@ -629,11 +689,20 @@ def enumerate_S_delta(
     that meet its integer inner-product window and make all 2-by-2 minors
     with it vanish modulo l.  notes["nodes"] counts the column prefixes
     meeting every such condition, and node_budget bounds that count.
-    Emitted matrices are re-validated independently (determinant, Smith
-    form, deviation, congruences).
+
+    Every leaf (a full matrix) is decided exactly from state carried down
+    the search: the minors of the fixed columns, extended by one Laplace
+    step per column, give the determinant as one n-term dot product; D_1
+    is the gcd of the entries and D_2 the gcd of the 2-by-2 minors; the
+    deviation test reuses the known determinant m and the images S*c_i of
+    the fixed columns.  notes["leaf_rejections"] counts the leaves failing
+    on the determinant, on the divisors and on the deviation, in that
+    order of testing.
     """
     t0 = time.time()
     n = Q.n
+    if n < 2:
+        raise ValueError("the second determinantal divisor needs rank at least 2")
     delta = Fraction(delta)
     r_lo, r_hi = det_power_bracket(m, n, prec_bits)
     lam_lo, _ = Q.eigen_bounds()
@@ -662,56 +731,83 @@ def enumerate_S_delta(
     complete = True
     witnesses: list[Matrix] = []
     count = 0
+    rejections = {"det": 0, "divisors": 0, "deviation": 0}
+    # every leaf that reaches the deviation test has determinant m
+    bracket = cache(lambda bits: det_power_bracket(m, n, bits))
 
-    def validate(gamma_cols: list[tuple[int, ...]]) -> bool:
-        gamma = tuple(zip(*gamma_cols))
-        if matrix_det(gamma) != m:
-            return False
-        divs = determinantal_divisors(gamma)
-        if divs[0] != 1 or divs[1] != l:
-            return False
-        if not deviation_at_most(gamma, Q, delta, prec_bits):
-            return False
-        # congruence re-check over every index quadruple
-        for j1 in range(n):
-            for j2 in range(j1 + 1, n):
-                for a in range(n):
-                    for b in range(n):
-                        if (gamma[a][j1] * gamma[b][j2] - gamma[b][j1] * gamma[a][j2]) % l:
-                            return False
-        return True
-
-    def search(fixed: list[tuple[int, ...]], pools: list[list[tuple[int, ...]]]):
-        # pools[k - j] holds the points of column k's shell that fit every
-        # fixed column, where j = len(fixed)
+    def leaves(fixed, imgs, pool, minors, g1, g2):
+        # the last column x completes the matrix: det = <cof, x> by Laplace
+        # expansion along it, from the (n-1)-minors of the fixed columns
         nonlocal nodes, count, complete
+        last = n - 1
+        full = tuple(range(n))
+        cof = [
+            minors[full[:t] + full[t + 1:]] * (-1 if (t + last) % 2 else 1)
+            for t in range(n)
+        ]
+        gram_fixed = [
+            (sum(map(mul, imgs[i], fixed[j])), Q.scaled[i][j])
+            for i in range(last)
+            for j in range(i, last)
+        ]
+        s_last = [Q.scaled[i][last] for i in range(n)]
+        for x in pool:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                return
+            if sum(map(mul, cof, x)) != m:
+                rejections["det"] += 1
+                continue
+            # the pools make every 2-by-2 minor 0 mod l, so D_2 is a multiple
+            # of l and _minor_gcd may stop once it reaches l
+            if gcd(g1, *x) != 1 or _minor_gcd(g2, fixed, x, l) != l:
+                rejections["divisors"] += 1
+                continue
+            gram = gram_fixed + [
+                (sum(map(mul, img, x)), sij) for img, sij in zip(imgs, s_last)
+            ]
+            gram.append((Q.scaled_apply(x, x), s_last[last]))
+            # 4096 bits: deviation_at_most's default max_bits
+            if not _deviation_decided(gram, Q.scale, delta, bracket, prec_bits, 4096):
+                rejections["deviation"] += 1
+                continue
+            count += 1
+            if collect_witnesses:
+                witnesses.append(tuple(zip(*fixed, x)))
+
+    def search(fixed, imgs, pools, minors, g1, g2):
+        # pools[k - j] holds the points of column k's shell that fit every
+        # fixed column, where j = len(fixed); minors maps each j-subset of
+        # rows to the minor of the fixed columns on it; g1 and g2 are the
+        # gcds of their entries and of their 2-by-2 minors
+        nonlocal nodes, complete
         j = len(fixed)
+        if j == n - 1:
+            leaves(fixed, imgs, pools[0], minors, g1, g2)
+            return
         for col in pools[0]:
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            cols = fixed + [col]
-            if j == n - 1:
-                if validate(cols):
-                    count += 1
-                    if collect_witnesses:
-                        witnesses.append(tuple(zip(*cols)))
-                continue
-            img = [sum(a * c for a, c in zip(row, col)) for row in Q.scaled]
+            img = [sum(map(mul, row, col)) for row in Q.scaled]
             later = []
             for k, pool in enumerate(pools[1:], j + 1):
                 g_lo, g_hi = scaled_windows[j, k]
                 later.append([
                     x for x in pool
-                    if g_lo <= sum(a * b for a, b in zip(img, x)) <= g_hi
+                    if g_lo <= sum(map(mul, img, x)) <= g_hi
                     and all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs)
                 ])
-            search(cols, later)
+            search(
+                fixed + [col], imgs + [img], later, _extend_minors(minors, col),
+                gcd(g1, *col), _minor_gcd(g2, fixed, col, l),
+            )
             if not complete:
                 return
 
-    search([], [shells[Q.entries[k][k]] for k in range(n)])
+    search([], [], [shells[Q.entries[k][k]] for k in range(n)], {(): 1}, 0, 0)
     witnesses.sort()
     return CountReport(
         parameters={
@@ -728,7 +824,7 @@ def enumerate_S_delta(
         witnesses=witnesses if collect_witnesses else None,
         elapsed=time.time() - t0,
         complete=complete,
-        notes={"nodes": nodes},
+        notes={"nodes": nodes, "leaf_rejections": rejections},
     )
 
 
@@ -774,7 +870,10 @@ def scaling_experiment(
             collect_witnesses=False, node_budget=node_budget,
         )
         complete = complete and rep.complete
-        ladder.append({"p": p, "l": p**nu, "count": rep.count, "complete": rep.complete})
+        ladder.append({
+            "p": p, "l": p**nu, "count": rep.count, "complete": rep.complete,
+            "leaf_rejections": rep.notes["leaf_rejections"],
+        })
         counts.append(rep.count)
         sizes.append(p**nu)
     slope = fit_exponent(sizes, counts)
@@ -796,21 +895,3 @@ def scaling_experiment(
             "target_slope": 3 - 1 / (2 * nu),
         },
     )
-
-
-def columns_proportional_mod(gamma: Matrix, l: int) -> bool:
-    """Each pair of columns differs mod l by a unit multiple (entries coprime to l)."""
-    n = len(gamma)
-    cols = list(zip(*gamma))
-    for i in range(n):
-        for j in range(i + 1, n):
-            found = False
-            for a in range(1, l):
-                if gcd(a, l) != 1:
-                    continue
-                if all((cols[j][t] - a * cols[i][t]) % l == 0 for t in range(n)):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True

@@ -5,7 +5,11 @@ matrix_det never leaves Z (Bareiss, Math. Comp. 22 (1968): every division
 in the elimination is exact).  solve and ldl work over Q with Fraction
 entries; ldl does not pivot, so by Sylvester's criterion its pivots are all
 positive exactly when the leading principal minors are, which is how it
-certifies positive definiteness.
+certifies positive definiteness.  column_echelon brings an integer matrix
+to column echelon form by unimodular column operations (extended gcd), the
+basis change behind enumerating lattice points under linear windows, and
+lll reduces a lattice basis under an integer inner product, so that the
+enumeration runs on short, nearly orthogonal vectors.
 """
 
 from __future__ import annotations
@@ -81,3 +85,94 @@ def ldl(q) -> tuple[list[Fraction], list[list[Fraction]]] | None:
             for c in range(i + 1, n):
                 a[r][c] -= a[i][r] * u[i][c]
     return d, u
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def column_echelon(rows) -> tuple[list[list[int]], list[list[int]], list[int | None]]:
+    """Unimodular U with H = V U in column echelon form, pivots on the right.
+
+    rows is a k-by-n integer matrix V.  Returns (U, H, pivot): U is n-by-n
+    with determinant +-1.  Rows are taken in order.  When row j is
+    independent of the rows before it, extended-gcd steps gather its
+    entries on the columns not yet used into one of them, which moves to
+    the right of the unused columns, and pivot[j] is that column, with
+    H[j][pivot[j]] > 0 and H[j][c] = 0 for every c < pivot[j].  Otherwise
+    pivot[j] is None and row j of H is 0 outside the earlier pivot columns.
+    So the r pivots are the columns n-1, ..., n-r, in row order.
+    """
+    n = len(rows[0]) if rows else 0
+    # U and H as lists of columns, so column steps act on whole lists
+    ucols = [[int(i == c) for i in range(n)] for c in range(n)]
+    hcols = [list(col) for col in zip(*rows)]
+    free = n  # columns free..n-1 hold pivots
+    pivot: list[int | None] = []
+    for j in range(len(rows)):
+        nz = [c for c in range(free) if hcols[c][j]]
+        if not nz:
+            pivot.append(None)
+            continue
+        p = nz[0]
+        for c in nz[1:]:
+            a, b = hcols[p][j], hcols[c][j]
+            g, s, t = _xgcd(a, b)
+            # the step ((s, -b/g), (t, a/g)) has determinant 1
+            for cols in (ucols, hcols):
+                x, y = cols[p], cols[c]
+                cols[p] = [s * u + t * v for u, v in zip(x, y)]
+                cols[c] = [(a // g) * v - (b // g) * u for u, v in zip(x, y)]
+        free -= 1
+        sign = 1 if hcols[p][j] > 0 else -1
+        for cols in (ucols, hcols):
+            cols[p], cols[free] = cols[free], [sign * x for x in cols[p]]
+        pivot.append(free)
+    return [list(r) for r in zip(*ucols)], [list(r) for r in zip(*hcols)], pivot
+
+
+def lll(basis: list[list[int]], inner) -> list[list[int]]:
+    """LLL-reduced basis (Lenstra, Lenstra, Lovász, Math. Ann. 261 (1982),
+    with factor 3/4) of the lattice spanned by the independent integer
+    vectors basis, under the integer-valued inner product inner(x, y).
+
+    Exact: the Gram–Schmidt data are recomputed in Fractions after every
+    change, which suits the handful of short bases it is meant for.
+    """
+    b = [list(v) for v in basis]
+    m = len(b)
+
+    def gso():
+        mu = [[Fraction(0)] * m for _ in range(m)]
+        norm: list[Fraction] = []
+        for i in range(m):
+            for j in range(i):
+                mu[i][j] = (inner(b[i], b[j]) - sum(
+                    mu[j][t] * mu[i][t] * norm[t] for t in range(j)
+                )) / norm[j]
+            norm.append(Fraction(inner(b[i], b[i])) - sum(mu[i][t] ** 2 * norm[t] for t in range(i)))
+        return mu, norm
+
+    k = 1
+    while k < m:
+        mu, norm = gso()
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k = max(k - 1, 1)
+    return b

@@ -103,6 +103,17 @@ def test_count_corollary_with_file_form(tmp_path, capsys):
     assert payload["report"]["count"] > 0
 
 
+def test_scaling_csv_has_a_column_per_rejection_reason(capsys):
+    code, out = run(capsys, "--format", "csv", "count", "--mode", "scaling",
+                    "--nu", "1", "--ladder", "2")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["count"] == "384"
+    assert (cells["leaf_rejections.det"], cells["leaf_rejections.divisors"],
+            cells["leaf_rejections.deviation"]) == ("576", "192", "0")
+
+
 def test_reports_are_deterministic(capsys):
     _, out1 = run(capsys, "amplifier", "--n", "2", "--p", "7")
     _, out2 = run(capsys, "amplifier", "--n", "2", "--p", "7")

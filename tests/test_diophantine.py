@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
 from heckelab.diophantine import (
-    ConstraintDecomposition,
-    CountReport,
     QuadPoly2,
     QuadraticForm,
     _deviation_bracket,
+    _extend_minors,
     _int_nth_root,
+    _minor_gcd,
     brute_force_S_delta,
-    columns_proportional_mod,
-    constr_decompose,
     corollary_count_experiment,
     corollary_count_ladder,
     det_power_bracket,
@@ -79,6 +77,34 @@ def rational_spd_forms(draw, max_n=3):
         slack = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 6)))
         q[i][i] = sum(abs(x) for x in q[i]) + slack
     return QuadraticForm(q)
+
+
+def columns_proportional_mod(gamma, l: int) -> bool:
+    """Each pair of columns differs mod l by a unit multiple (entries coprime to l)."""
+    n = len(gamma)
+    cols = list(zip(*gamma))
+    for i in range(n):
+        for j in range(i + 1, n):
+            found = False
+            for a in range(1, l):
+                if gcd(a, l) != 1:
+                    continue
+                if all((cols[j][t] - a * cols[i][t]) % l == 0 for t in range(n)):
+                    found = True
+                    break
+            if not found:
+                return False
+    return True
+
+
+def shell_in_windows_spec(q, lo, hi, coord_bound, windows):
+    """The unconstrained shell filtered by every window: the specification
+    of quadratic_shell_points(..., windows=windows)."""
+    return [
+        y
+        for y in quadratic_shell_points(q, lo, hi, coord_bound)
+        if all(g_lo <= sum(a * b for a, b in zip(v, y)) <= g_hi for v, g_lo, g_hi in windows)
+    ]
 
 
 def deviation_bracket_spec(gamma, Q, prec_bits):
@@ -147,6 +173,25 @@ def test_eigen_bounds_tiny_lambda_min(entries):
     assert ldl(shifted) is not None
 
 
+# an entry beyond float range: float(10**400) overflows
+HUGE_ENTRY_FORM = ((10**400, 0), (0, 1))
+
+
+def test_eigen_bounds_beyond_float_range():
+    q = QuadraticForm(HUGE_ENTRY_FORM)
+    lo, hi = q.eigen_bounds()
+    for shifted in (
+        [[q.entries[i][j] - (lo if i == j else 0) for j in range(2)] for i in range(2)],
+        [[(hi if i == j else 0) - q.entries[i][j] for j in range(2)] for i in range(2)],
+    ):
+        assert ldl(shifted) is not None
+    assert len(quadratic_shell_points(q, 0, 5)) == 5
+    rep = corollary_count_experiment(q, 0, 1, DELTA, [], [1], collect_witnesses=True)
+    assert [w[0] for w in rep.witnesses] == [(0, -1), (0, 1)]
+    sd = enumerate_S_delta(q, 1, 1, DELTA)
+    assert sd.witnesses == [((-1, 0), (0, -1)), ((1, 0), (0, 1))]
+
+
 def test_random_spd_deterministic():
     assert QuadraticForm.random_spd(4, seed=9) == QuadraticForm.random_spd(4, seed=9)
 
@@ -175,52 +220,6 @@ def test_lembp_swap_symmetry():
 def test_lembp_rejects_indefinite():
     with pytest.raises(ValueError):
         lembp_count(QuadPoly2(1, 3, 1), 1)
-
-
-# -- affine elimination ----------------------------------------------------------------
-
-
-def test_constr_trivial_cases():
-    dec = constr_decompose([(1, 0)], [3], 0)
-    assert dec.selected == (0,) and dec.free == (1,)
-    assert dec.A == [[Fraction(0)]] and dec.b == [Fraction(3)] and dec.F == 0
-
-    dec = constr_decompose([(1, 0, 0), (0, 1, 0)], [Fraction(5), Fraction(7)], Fraction(1, 8))
-    assert dec.selected == (0, 1)
-    assert dec.b == [Fraction(5), Fraction(7)] and dec.F == Fraction(1, 8)
-
-
-def test_constr_rejects_mismatched_targets():
-    # under python -O an assert let the second target be dropped silently
-    with pytest.raises(ValueError):
-        constr_decompose([(1, 0, 0)], [3, 5], 0)
-
-
-def test_constr_rejects_dependent_rows():
-    with pytest.raises(ValueError):
-        constr_decompose([(1, 2, 0), (2, 4, 0)], [1, 1], 0)
-
-
-@given(st.randoms(), st.integers(1, 2))
-@settings(max_examples=30, deadline=None)
-def test_constr_relation_holds(rnd, k):
-    n = 4
-    xs = [tuple(rnd.randint(-9, 9) for _ in range(n)) for _ in range(k)]
-    try:
-        dec = constr_decompose(xs, [rnd.randint(-20, 20) for _ in range(k)], Fraction(1, 2))
-    except ValueError:
-        return
-    q = [Fraction(0)] * k
-    for _ in range(40):
-        y = [Fraction(rnd.randint(-30, 30)) for _ in range(n)]
-        errs = [sum(Fraction(x) * v for x, v in zip(xi, y)) for xi in xs]
-        # use the sampled y's own values as exact targets, then perturb within E
-        dec2 = constr_decompose(xs, errs, Fraction(1, 2))
-        for r in range(k):
-            predicted = dec2.b[r] + sum(
-                dec2.A[r][c] * y[dec2.free[c]] for c in range(n - k)
-            )
-            assert abs(y[dec2.selected[r]] - predicted) <= dec2.F
 
 
 # -- shell enumeration -------------------------------------------------------------------
@@ -293,6 +292,53 @@ def test_shell_rational_form_brute_force(q, lo, width, coord_bound):
         if lo <= q.apply(y, y) <= hi
     ]
     assert pts == brute
+
+
+# det 1 and lambda_min about 2^-60: shell points have coordinates near 2^30
+LARGE_FORMS = [QuadraticForm(((2**60 + 1, 2**30), (2**30, 1))), QuadraticForm(HUGE_ENTRY_FORM)]
+
+
+@given(
+    st.integers(0, 3),
+    st.fractions(min_value=-2, max_value=6, max_denominator=5),
+    st.fractions(min_value=0, max_value=6, max_denominator=5),
+    st.sampled_from([None, 1, 2]),
+    st.sampled_from([1, 2**60 + 3]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_shell_windows_match_filtered_shell(kind, lo, width, coord_bound, big, data):
+    q = data.draw(st.sampled_from(LARGE_FORMS) if kind == 0 else rational_spd_forms())
+    n, hi = q.n, lo + width
+    pts = quadratic_shell_points(q, lo, hi)
+    y0 = data.draw(st.sampled_from(pts)) if pts else (0,) * n
+    windows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if windows and data.draw(st.booleans()):
+            # an integer combination of the earlier rows: a dependent condition
+            coefs = [data.draw(st.integers(-2, 2)) for _ in windows]
+            v = [sum(c * w[0][i] for c, w in zip(coefs, windows)) for i in range(n)]
+        else:
+            v = [big * data.draw(st.integers(-4, 4)) for _ in range(n)]
+        centre = sum(a * b for a, b in zip(v, y0))
+        # a width below 0 leaves the window empty: an inconsistent condition
+        g_lo = centre - big * data.draw(st.integers(-1, 3))
+        g_hi = centre + big * data.draw(st.integers(-1, 3))
+        windows.append((v, g_lo, g_hi))
+    got = quadratic_shell_points(q, lo, hi, coord_bound, windows=windows)
+    assert got == shell_in_windows_spec(q, lo, hi, coord_bound, windows)
+
+
+@pytest.mark.parametrize("windows,expected", [
+    ([((1, 0, 0), 1, 1), ((2, 0, 0), 2, 2)], 9),  # y_0 = 1, twice
+    ([((1, 0, 0), 1, 1), ((2, 0, 0), 3, 3)], 0),  # y_0 = 1 and y_0 = 3/2
+    ([((0, 0, 0), 1, 2)], 0),  # 0 outside its window
+    ([((0, 0, 0), -1, 0), ((1, 1, 1), -1, 1)], 19),
+], ids=["dependent", "inconsistent", "zero-row-empty", "zero-row-kept"])
+def test_shell_windows_dependent_and_inconsistent(windows, expected):
+    got = quadratic_shell_points(I3, 0, 3, windows=windows)
+    assert got == shell_in_windows_spec(I3, 0, 3, None, windows)
+    assert len(got) == expected
 
 
 # -- corollary-style counts ---------------------------------------------------------------
@@ -432,6 +478,42 @@ def test_deviation_scale_invariance():
 # -- the matrix enumerator ------------------------------------------------------------------
 
 
+@given(st.integers(1, 4), st.sampled_from([1, 2, 3]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_carried_minors_match_determinant_and_divisors(n, l, data):
+    # the columns after the first are multiples of l, so l divides every
+    # 2-by-2 minor, as the search's pools guarantee
+    cols = [
+        tuple(data.draw(st.integers(-5, 5)) * (l if j else 1) for _ in range(n))
+        for j in range(n)
+    ]
+    minors, g2 = {(): 1}, 0
+    for j, col in enumerate(cols):
+        g2 = _minor_gcd(g2, cols[:j], col, l)
+        minors = _extend_minors(minors, col)
+        for rows, minor in minors.items():
+            assert minor == matrix_det([[cols[c][r] for c in range(j + 1)] for r in rows])
+    gamma = tuple(zip(*cols))
+    assert minors == {tuple(range(n)): matrix_det(gamma)}
+    if n >= 2 and matrix_det(gamma):
+        assert g2 == determinantal_divisors_bruteforce(gamma)[1]
+
+
+@pytest.mark.parametrize("delta,count,rejected", [
+    (1 / det_power_bracket(2, 3, 60)[1], 72, 384),
+    (1 / det_power_bracket(2, 3, 120)[0], 456, 0),
+], ids=["rejected", "accepted"])
+def test_deviation_decides_leaves_the_gram_windows_admit(delta, count, rejected):
+    # r = 2^(2/3) is irrational and the off-diagonal Gram windows admit
+    # G_ij = +-1 (r_hi delta > 1 at 60 bits); the deviation 1/r of such a
+    # matrix is above delta = 1/r_hi and below delta = 1/r_lo(120 bits), and
+    # in both cases the 60-bit bracket cannot decide it, only a doubling
+    rep = enumerate_S_delta(I3, 2, 1, delta)
+    assert rep.count == count
+    assert rep.notes["leaf_rejections"] == {"det": 4176, "divisors": 0, "deviation": rejected}
+    assert rep.witnesses == brute_force_S_delta(I3, 2, 1, delta, 1)
+
+
 def test_orthogonal_group_counts():
     rep = enumerate_S_delta(I2, 1, 1, DELTA)
     assert rep.count == 4  # determinant +1 signed permutations
@@ -501,6 +583,12 @@ def test_S_delta_on_ill_conditioned_equivalent_form():
 
     assert rep.count == rep_i2.count == 8
     assert sorted(mul(mul(u, g), u_inv) for g in rep.witnesses) == rep_i2.witnesses
+
+
+def test_rank_one_has_no_second_divisor():
+    # a 1-by-1 matrix has no 2-by-2 minors, so D_2 = l is undefined
+    with pytest.raises(ValueError):
+        enumerate_S_delta(QuadraticForm.identity(1), 1, 1, DELTA)
 
 
 def test_rank_two_second_divisor_forces_det():
@@ -578,3 +666,4 @@ def test_scaling_experiment_single_rung():
     rep = scaling_experiment(QuadraticForm.identity(4), 1, [2])
     assert rep.exponent_fit is None
     assert rep.notes["ladder"][0]["count"] == 384
+    assert rep.notes["ladder"][0]["leaf_rejections"] == {"det": 576, "divisors": 192, "deviation": 0}

@@ -5,7 +5,7 @@ from math import lcm
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from heckelab.linalg import ldl, matrix_det, solve
+from heckelab.linalg import column_echelon, ldl, lll, matrix_det, solve
 
 
 def leibniz_det(m):
@@ -95,3 +95,76 @@ def test_ldl_certifies_positive_definite(s, shift, data):
         assert sum(di * v * v for di, v in zip(d, uy)) == sum(
             y[i] * q[i][j] * y[j] for i in range(n) for j in range(n)
         )
+
+
+def rank(rows) -> int:
+    """Rank over Q, by elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c] / a[r][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@example(3, 3, None)  # a dependent second row and a zero row
+def test_column_echelon(k, n, data):
+    rows = [[2, 4, -6], [1, 2, -3], [0, 0, 0]] if data is None else data.draw(
+        st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=k, max_size=k)
+    )
+    U, H, pivot = column_echelon(rows)
+    assert matrix_det(U) in (1, -1)
+    assert H == [[sum(a * b for a, b in zip(row, col)) for col in zip(*U)] for row in rows]
+    pivots = [p for p in pivot if p is not None]
+    assert pivots == list(range(n - 1, n - 1 - len(pivots), -1))
+    assert len(pivots) == rank(rows)
+    for j, p in enumerate(pivot):
+        earlier = {q for q in pivot[: j + 1] if q is not None}
+        assert all(H[j][c] == 0 for c in range(n) if c not in earlier)
+        if p is not None:
+            assert H[j][p] > 0
+            # row j decided by its own pivot and the columns right of it
+            assert all(H[j][c] == 0 for c in range(p))
+        # a dependent row depends on the earlier rows, so rank does not grow
+        assert (p is None) == (rank(rows[: j + 1]) == rank(rows[:j]))
+
+
+@given(st.integers(1, 4), st.data())
+def test_lll_keeps_the_lattice_and_reduces(m, data):
+    n = m + data.draw(st.integers(0, 1))
+    basis = data.draw(
+        st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=m, max_size=m)
+        .filter(lambda b: rank(b) == m)
+    )
+    diag = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+
+    def inner(x, y):
+        return sum(d * a * b for d, a, b in zip(diag, x, y))
+
+    red = lll(basis, inner)
+    # same lattice: red = C basis with C integer, and det C = +-1 because
+    # the Gram determinants agree
+    gram = [[inner(x, y) for y in basis] for x in basis]
+    red_gram = [[inner(x, y) for y in red] for x in red]
+    _, coeffs = solve(gram, [[inner(b, r) for r in red] for b in basis])
+    assert all(c.denominator == 1 for row in coeffs for c in row)
+    for k, r in enumerate(red):
+        assert r == [sum(coeffs[i][k] * b[t] for i, b in enumerate(basis)) for t in range(n)]
+    assert matrix_det(gram) == matrix_det(red_gram)
+    # size-reduced and Lovasz, from the Gram–Schmidt data of red
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    norm = []
+    for i in range(m):
+        for j in range(i):
+            mu[i][j] = (red_gram[i][j] - sum(mu[j][t] * mu[i][t] * norm[t] for t in range(j))) / norm[j]
+        norm.append(red_gram[i][i] - sum(mu[i][t] ** 2 * norm[t] for t in range(i)))
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(m) for j in range(i))
+    assert all(norm[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norm[i - 1] for i in range(1, m))
