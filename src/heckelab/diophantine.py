@@ -321,11 +321,8 @@ def quadratic_shell_points(
     cols = [list(col) for col in zip(*U)]
     cols[: n - r] = lll(cols[: n - r], Q.scaled_apply)
     U = [list(row) for row in zip(*cols)]
-    plain = U == identity
-    form = Q.entries
-    if not plain:
-        SU = [[sum(map(mul, row, col)) for col in cols] for row in Q.scaled]
-        form = [[Fraction(sum(map(mul, c, sc)), Q.scale) for sc in zip(*SU)] for c in cols]
+    SU = [[sum(map(mul, row, col)) for col in cols] for row in Q.scaled]
+    form = [[Fraction(sum(map(mul, c, sc)), Q.scale) for sc in zip(*SU)] for c in cols]
     # win[i]: the window on coordinate i from its pivot row
     win: list[tuple | None] = [None] * n
     dependent = []
@@ -343,13 +340,10 @@ def quadratic_shell_points(
     top, need = floor(W * hi), ceil(W * lo)
     out: list[tuple[int, ...]] = []
     z = [0] * n
-    bound = coord_bound if plain else None
 
     def zs(i: int, t_lo: int, t_hi: int, c: int) -> range:
-        """The z_i with t_lo <= e_i*z_i + c <= t_hi, within bound and win[i]."""
+        """The z_i with t_lo <= e_i*z_i + c <= t_hi, within win[i]."""
         z_lo, z_hi = -((c - t_lo) // e[i]), (t_hi - c) // e[i]
-        if bound is not None:
-            z_lo, z_hi = max(z_lo, -bound), min(z_hi, bound)
         if win[i] is not None:
             h, rest, g_lo, g_hi = win[i]
             off = sum(a * z[j] for j, a in rest)
@@ -376,10 +370,9 @@ def quadratic_shell_points(
             out.extend((val,) + rest for val in zs(0, t_lo, t_hi, c))
 
     rec(n - 1, 0)
-    if not plain:
-        out = [tuple(sum(map(mul, row, pt)) for row in U) for pt in out]
-        if coord_bound is not None:
-            out = [y for y in out if all(abs(yi) <= coord_bound for yi in y)]
+    out = [tuple(sum(map(mul, row, pt)) for row in U) for pt in out]
+    if coord_bound is not None:
+        out = [y for y in out if all(abs(yi) <= coord_bound for yi in y)]
     if dependent:
         out = [
             y for y in out
@@ -606,6 +599,10 @@ def _gram_deviation_bracket(
     return Fraction(dev_lo, d1 * d2), Fraction(dev_hi, d1 * d2)
 
 
+# the precision at which a deviation test gives up as a boundary case
+_MAX_BITS = 4096
+
+
 def _deviation_decided(entries, scale: int, delta: Fraction, bracket, prec_bits: int,
                        max_bits: int) -> bool:
     """deviation <= delta for the Gram entries of _gram_entries, with
@@ -624,7 +621,7 @@ def _deviation_decided(entries, scale: int, delta: Fraction, bracket, prec_bits:
 
 
 def deviation_at_most(
-    gamma: Matrix, Q: QuadraticForm, delta, prec_bits: int = 60, max_bits: int = 4096
+    gamma: Matrix, Q: QuadraticForm, delta, prec_bits: int = 60, max_bits: int = _MAX_BITS
 ) -> bool:
     """Exact membership test for matrix deviation <= delta.
 
@@ -768,8 +765,7 @@ def enumerate_S_delta(
                 (sum(map(mul, img, x)), sij) for img, sij in zip(imgs, s_last)
             ]
             gram.append((Q.scaled_apply(x, x), s_last[last]))
-            # 4096 bits: deviation_at_most's default max_bits
-            if not _deviation_decided(gram, Q.scale, delta, bracket, prec_bits, 4096):
+            if not _deviation_decided(gram, Q.scale, delta, bracket, prec_bits, _MAX_BITS):
                 rejections["deviation"] += 1
                 continue
             count += 1
