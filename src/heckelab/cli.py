@@ -323,8 +323,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the count options each mode cannot run without
+REQUIRED_BY_MODE = {"lembp": ("poly",), "sdelta": ("m", "l")}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "count":
+        needed = REQUIRED_BY_MODE.get(args.mode, ())
+        missing = [f"--{k}" for k in needed if getattr(args, k) is None]
+        if missing:
+            parser.error(f"--mode {args.mode} needs {' and '.join(missing)}")
     try:
         return args.func(args)
     except CosetBudgetError as exc:

@@ -1,14 +1,15 @@
 """Counting integer points and integer matrices under quadratic constraints.
 
-The enumeration workhorses are exact.  Quadratic shells are enumerated,
-the linear and Gram-window conditions are tested and the deviation from a
-scaled isometry is bracketed in integer arithmetic, on the integer matrix
-scale*Q that every QuadraticForm carries.  Floats only propose the
-candidate eigenvalue bounds in eigen_bounds, which are certified exactly,
-so no solution can be misclassified by rounding.  When a membership
-predicate involves the (generally irrational) n-th root of a determinant,
-the root is bracketed by rationals and refined until the predicate is
-decidable; if it never becomes decidable the run aborts rather than guess.
+The enumeration workhorses are exact.  Quadratic shells are enumerated and
+the linear and Gram-window conditions are tested in integer arithmetic, on
+the integer matrix scale*Q that every QuadraticForm carries.  Floats only
+propose the candidate eigenvalue bounds in eigen_bounds, which are
+certified exactly, so no solution can be misclassified by rounding.  The
+deviation from a scaled isometry involves the (generally irrational) root
+r = det^(2/n), but each condition |G_ij / r - Q_ij| <= delta says that the
+integer scale*G_ij lies in a window whose ends are floors of rational
+multiples of the n-th root of det^2; _gram_window computes them exactly by
+integer n-th roots, so the test needs no approximation of r.
 
 Shell points under linear conditions (integer windows g_lo <= v . y <= g_hi)
 are generated, not filtered: the enumeration runs on a unimodular basis in
@@ -16,12 +17,12 @@ which each independent window bounds one outer coordinate.
 
 The matrix search builds matrices column by column.  Each column k starts
 from a pool of points of its quadratic shell; fixing a column filters every
-later pool by the inner-product window against it and by the congruences
-forcing all 2-by-2 minors with it to vanish modulo the divisor target.  The
-minors and gcds of the fixed columns are carried down the search, so a full
-matrix is decided without re-deriving them: its determinant is one dot
-product, its divisors two gcds, and the deviation test reuses the known
-determinant.
+later pool by the Gram window against it and by the congruences forcing
+all 2-by-2 minors with it to vanish modulo the divisor target, so every
+leaf already meets the deviation bound.  The minors and gcds of the fixed
+columns are carried down the search, so a full matrix is decided without
+re-deriving them: its determinant is one dot product and its divisors two
+gcds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
@@ -42,10 +42,6 @@ from .cosets import determinantal_divisors
 from .linalg import column_echelon, ldl, lll, matrix_det, solve
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-class PrecisionError(RuntimeError):
-    """A membership test stayed undecidable at the maximum refinement depth."""
 
 
 # -- quadratic forms ----------------------------------------------------------
@@ -506,22 +502,6 @@ def corollary_count_ladder(
 # -- deviation from a scaled isometry ------------------------------------------------
 
 
-def _root_bracket(value: int, n: int, prec_bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket of value^(1/n) with width 2^-prec_bits."""
-    lo_i = _int_nth_root(value, n)
-    if lo_i**n == value:
-        return Fraction(lo_i), Fraction(lo_i)
-    lo, hi = Fraction(lo_i), Fraction(lo_i + 1)
-    width = Fraction(1, 2**prec_bits)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid**n <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _int_nth_root(value: int, n: int) -> int:
     if value < 0:
         raise ValueError("negative radicand")
@@ -537,102 +517,54 @@ def _int_nth_root(value: int, n: int) -> int:
         r = s
 
 
-def det_power_bracket(det: int, n: int, prec_bits: int = 40) -> tuple[Fraction, Fraction]:
-    """Bracket of det^(2/n); exact (zero-width) when det^2 is a perfect n-th power."""
+def _floor_root(c: Fraction, v: int, n: int) -> int:
+    """floor(c * v^(1/n)), exactly, for rational c of either sign and v >= 0."""
+    p, q = c.numerator, c.denominator
+    w = abs(p) ** n * v
+    root = _int_nth_root(w, n)  # floor(|p| v^(1/n))
+    if p >= 0:
+        return root // q
+    # floor(-x / q) = floor(-ceil(x) / q) for real x >= 0
+    return -(root + (root**n != w)) // q
+
+
+def _gram_window(s_ij: int, scale: int, delta: Fraction, det: int, n: int) -> tuple[int, int]:
+    """[lo, hi], the integers g with |g / r - s_ij| <= scale*delta at r = det^(2/n).
+
+    With g = scale*G_ij and s_ij = scale*Q_ij this is the deviation bound
+    |G_ij / r - Q_ij| <= delta on one Gram entry.  The ends
+    lo = ceil((s_ij - scale*delta) r) and hi = floor((s_ij + scale*delta) r)
+    are exact floors of rational multiples of the n-th root of det^2; the
+    window is empty (lo > hi) when delta < 0.
+    """
     if det <= 0:
         raise ValueError("determinant must be positive")
-    return _root_bracket(det * det, n, prec_bits)
+    v, width = det * det, scale * delta
+    return -_floor_root(width - s_ij, v, n), _floor_root(s_ij + width, v, n)
 
 
-def matrix_deviation(gamma: Matrix, Q: QuadraticForm, prec_bits: int = 60) -> float:
-    """Max-entry distance of gamma^T Q gamma from det^{2/n} Q, normalized.
+def _gram_windows(Q: QuadraticForm, delta: Fraction, det: int) -> dict[int, tuple[int, int]]:
+    """The _gram_window of every distinct entry of scale*Q, keyed by that entry."""
+    return {s: _gram_window(s, Q.scale, delta, det, Q.n) for row in Q.scaled for s in row}
 
-    Returns a float midpoint; use deviation_at_most for exact gating.
+
+def deviation_at_most(gamma: Matrix, Q: QuadraticForm, delta) -> bool:
+    """Exact test of max_ij |G_ij / r - Q_ij| <= delta, the deviation of gamma
+    from a scaled isometry of Q, where G = gamma^T Q gamma and r = det(gamma)^(2/n).
+
+    Every scaled Gram entry scale*G_ij is an integer, so the test is that each
+    lies in its _gram_window; no root is approximated.  Raises ValueError
+    when det(gamma) <= 0.
     """
-    lo, hi = _deviation_bracket(gamma, Q, prec_bits)
-    return float((lo + hi) / 2)
-
-
-def _deviation_bracket(
-    gamma: Matrix, Q: QuadraticForm, prec_bits: int
-) -> tuple[Fraction, Fraction]:
-    """Bracket of the deviation max_ij |(gamma^T Q gamma)_ij / r - Q_ij| at
-    r = det^(2/n), from the rational bracket [r_lo, r_hi] of r."""
-    return _gram_deviation_bracket(
-        _gram_entries(gamma, Q), Q.scale, det_power_bracket(matrix_det(gamma), Q.n, prec_bits)
-    )
-
-
-def _gram_entries(gamma: Matrix, Q: QuadraticForm) -> list[tuple[int, int]]:
-    """The pairs (G_ij, S_ij) for i <= j, with S = scale*Q and G = gamma^T S gamma."""
-    n = Q.n
+    windows = _gram_windows(Q, Fraction(delta), matrix_det(gamma))
     cols = list(zip(*gamma))
-    return [
-        (Q.scaled_apply(cols[i], cols[j]), Q.scaled[i][j])
-        for i in range(n)
-        for j in range(i, n)
-    ]
-
-
-def _gram_deviation_bracket(
-    entries, scale: int, r_bracket: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Bracket of max |G_ij / (r scale) - S_ij / scale| over the pairs
-    (G_ij, S_ij) in entries, for r in r_bracket.
-
-    Integer arithmetic throughout: the entry at r = a/b is
-    (G_ij b - a S_ij) / (a scale).  The values at r_lo and at r_hi share the
-    denominator (a_lo scale)(a_hi scale) for every entry, so only the two
-    results become Fractions.
-    """
-    r_lo, r_hi = r_bracket
-    (a1, b1), (a2, b2) = r_lo.as_integer_ratio(), r_hi.as_integer_ratio()
-    d1, d2 = a1 * scale, a2 * scale
-    dev_lo = dev_hi = 0
-    for g, sij in entries:
-        # the entry's values at r_lo and at r_hi, times d1*d2; it is
-        # monotone in r, so its range misses 0 only when they share a sign
-        v1, v2 = (g * b1 - a1 * sij) * d2, (g * b2 - a2 * sij) * d1
-        if v1 * v2 > 0:
-            dev_lo = max(dev_lo, min(abs(v1), abs(v2)))
-        dev_hi = max(dev_hi, abs(v1), abs(v2))
-    return Fraction(dev_lo, d1 * d2), Fraction(dev_hi, d1 * d2)
-
-
-# the precision at which a deviation test gives up as a boundary case
-_MAX_BITS = 4096
-
-
-def _deviation_decided(entries, scale: int, delta: Fraction, bracket, prec_bits: int,
-                       max_bits: int) -> bool:
-    """deviation <= delta for the Gram entries of _gram_entries, with
-    bracket(bits) the bracket of det^(2/n) of that precision."""
-    bits = prec_bits
-    while bits <= max_bits:
-        lo, hi = _gram_deviation_bracket(entries, scale, bracket(bits))
-        if hi <= delta:
-            return True
-        if lo > delta:
-            return False
-        if lo == hi:
-            return lo <= delta
-        bits *= 2
-    raise PrecisionError("deviation test undecidable at maximum precision")
-
-
-def deviation_at_most(
-    gamma: Matrix, Q: QuadraticForm, delta, prec_bits: int = 60, max_bits: int = _MAX_BITS
-) -> bool:
-    """Exact membership test for matrix deviation <= delta.
-
-    Refines the determinant-root bracket until the comparison is decidable;
-    aborts if the test is still ambiguous at max_bits (boundary case).
-    """
-    det = matrix_det(gamma)
-    return _deviation_decided(
-        _gram_entries(gamma, Q), Q.scale, Fraction(delta),
-        lambda bits: det_power_bracket(det, Q.n, bits), prec_bits, max_bits,
-    )
+    n = Q.n
+    for i in range(n):
+        for j in range(i, n):
+            lo, hi = windows[Q.scaled[i][j]]
+            if not lo <= Q.scaled_apply(cols[i], cols[j]) <= hi:
+                return False
+    return True
 
 
 # -- the matrix enumerator -----------------------------------------------------------
@@ -675,64 +607,56 @@ def enumerate_S_delta(
     delta,
     collect_witnesses: bool = True,
     node_budget: int = 50_000_000,
-    prec_bits: int = 60,
 ) -> CountReport:
     """All integer matrices with determinant m, entry gcd 1, second
     determinantal divisor l, and deviation at most delta from a scaled
     isometry of Q.
 
     Column-by-column search over per-column pools of quadratic-shell
-    points: fixing a column keeps, in each later column's pool, the points
-    that meet its integer inner-product window and make all 2-by-2 minors
-    with it vanish modulo l.  notes["nodes"] counts the column prefixes
-    meeting every such condition, and node_budget bounds that count.
+    points.  The deviation bound is the condition that every scaled Gram
+    entry scale * c_i^T Q c_j lies in its exact integer _gram_window at
+    det = m: column k's pool starts from the shell points whose own entry
+    lies in its window, and fixing a column keeps, in each later column's
+    pool, the points whose entry with it lies in its window and that make
+    all 2-by-2 minors with it vanish modulo l.  notes["nodes"] counts the
+    column prefixes meeting every such condition, and node_budget bounds
+    that count.
 
-    Every leaf (a full matrix) is decided exactly from state carried down
-    the search: the minors of the fixed columns, extended by one Laplace
-    step per column, give the determinant as one n-term dot product; D_1
-    is the gcd of the entries and D_2 the gcd of the 2-by-2 minors; the
-    deviation test reuses the known determinant m and the images S*c_i of
-    the fixed columns.  notes["leaf_rejections"] counts the leaves failing
-    on the determinant, on the divisors and on the deviation, in that
-    order of testing.
+    A leaf (a full matrix) therefore meets the deviation bound once its
+    determinant is m, and it is decided from state carried down the search:
+    the minors of the fixed columns, extended by one Laplace step per
+    column, give the determinant as one n-term dot product; D_1 is the gcd
+    of the entries and D_2 the gcd of the 2-by-2 minors.
+    notes["leaf_rejections"] counts the leaves failing on the determinant
+    and on the divisors, in that order of testing.
     """
     t0 = time.time()
     n = Q.n
     if n < 2:
         raise ValueError("the second determinantal divisor needs rank at least 2")
+    if m < 1 or l < 1:
+        raise ValueError("m and l must be positive")
     delta = Fraction(delta)
-    r_lo, r_hi = det_power_bracket(m, n, prec_bits)
+    windows = _gram_windows(Q, delta, m)
+    diagonal = {Q.scaled[j][j] for j in range(n)}
     lam_lo, _ = Q.eigen_bounds()
-
-    def window(qij) -> tuple[Fraction, Fraction]:
-        lo_c = [r_lo * (qij - delta), r_hi * (qij - delta)]
-        hi_c = [r_lo * (qij + delta), r_hi * (qij + delta)]
-        return min(lo_c), max(hi_c)
-
-    shells: dict[Fraction, list[tuple[int, ...]]] = {}
-    box = int(_sqrt_upper(max(window(Q.entries[j][j])[1] for j in range(n)) / lam_lo)) + 1
-    for j in range(n):
-        qjj = Q.entries[j][j]
-        if qjj not in shells:
-            w_lo, w_hi = window(qjj)
-            shells[qjj] = quadratic_shell_points(Q, w_lo, w_hi, box)
-
-    # the windows on the integer Gram entries scale * x_i^T Q x_j
+    top = Fraction(max(windows[s][1] for s in diagonal), Q.scale)
+    box = int(_sqrt_upper(top / lam_lo)) + 1
+    shells = {
+        s: quadratic_shell_points(
+            Q, Fraction(windows[s][0], Q.scale), Fraction(windows[s][1], Q.scale), box
+        )
+        for s in diagonal
+    }
     pairs = list(combinations(range(n), 2))
-    scaled_windows = {}
-    for i, j in pairs:
-        w_lo, w_hi = window(Q.entries[i][j])
-        scaled_windows[i, j] = (ceil(w_lo * Q.scale), floor(w_hi * Q.scale))
 
     nodes = 0
     complete = True
     witnesses: list[Matrix] = []
     count = 0
-    rejections = {"det": 0, "divisors": 0, "deviation": 0}
-    # every leaf that reaches the deviation test has determinant m
-    bracket = cache(lambda bits: det_power_bracket(m, n, bits))
+    rejections = {"det": 0, "divisors": 0}
 
-    def leaves(fixed, imgs, pool, minors, g1, g2):
+    def leaves(fixed, pool, minors, g1, g2):
         # the last column x completes the matrix: det = <cof, x> by Laplace
         # expansion along it, from the (n-1)-minors of the fixed columns
         nonlocal nodes, count, complete
@@ -742,12 +666,6 @@ def enumerate_S_delta(
             minors[full[:t] + full[t + 1:]] * (-1 if (t + last) % 2 else 1)
             for t in range(n)
         ]
-        gram_fixed = [
-            (sum(map(mul, imgs[i], fixed[j])), Q.scaled[i][j])
-            for i in range(last)
-            for j in range(i, last)
-        ]
-        s_last = [Q.scaled[i][last] for i in range(n)]
         for x in pool:
             nodes += 1
             if nodes > node_budget:
@@ -761,18 +679,11 @@ def enumerate_S_delta(
             if gcd(g1, *x) != 1 or _minor_gcd(g2, fixed, x, l) != l:
                 rejections["divisors"] += 1
                 continue
-            gram = gram_fixed + [
-                (sum(map(mul, img, x)), sij) for img, sij in zip(imgs, s_last)
-            ]
-            gram.append((Q.scaled_apply(x, x), s_last[last]))
-            if not _deviation_decided(gram, Q.scale, delta, bracket, prec_bits, _MAX_BITS):
-                rejections["deviation"] += 1
-                continue
             count += 1
             if collect_witnesses:
                 witnesses.append(tuple(zip(*fixed, x)))
 
-    def search(fixed, imgs, pools, minors, g1, g2):
+    def search(fixed, pools, minors, g1, g2):
         # pools[k - j] holds the points of column k's shell that fit every
         # fixed column, where j = len(fixed); minors maps each j-subset of
         # rows to the minor of the fixed columns on it; g1 and g2 are the
@@ -780,7 +691,7 @@ def enumerate_S_delta(
         nonlocal nodes, complete
         j = len(fixed)
         if j == n - 1:
-            leaves(fixed, imgs, pools[0], minors, g1, g2)
+            leaves(fixed, pools[0], minors, g1, g2)
             return
         for col in pools[0]:
             nodes += 1
@@ -790,20 +701,20 @@ def enumerate_S_delta(
             img = [sum(map(mul, row, col)) for row in Q.scaled]
             later = []
             for k, pool in enumerate(pools[1:], j + 1):
-                g_lo, g_hi = scaled_windows[j, k]
+                g_lo, g_hi = windows[Q.scaled[j][k]]
                 later.append([
                     x for x in pool
                     if g_lo <= sum(map(mul, img, x)) <= g_hi
                     and all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs)
                 ])
             search(
-                fixed + [col], imgs + [img], later, _extend_minors(minors, col),
+                fixed + [col], later, _extend_minors(minors, col),
                 gcd(g1, *col), _minor_gcd(g2, fixed, col, l),
             )
             if not complete:
                 return
 
-    search([], [], [shells[Q.entries[k][k]] for k in range(n)], {(): 1}, 0, 0)
+    search([], [shells[Q.scaled[k][k]] for k in range(n)], {(): 1}, 0, 0)
     witnesses.sort()
     return CountReport(
         parameters={
@@ -814,7 +725,6 @@ def enumerate_S_delta(
             "delta": str(delta),
             "Q": Q.digest(),
             "box": box,
-            "precision_bits": prec_bits,
         },
         count=count,
         witnesses=witnesses if collect_witnesses else None,

@@ -163,8 +163,8 @@ def test_criterion_7_counting_structure(m, l):
     # deterministic work count next to the wall-clock gate below
     assert rep.notes["nodes"] == {(16, 2): 1896, (81, 3): 10712}[m, l]
     assert rep.notes["leaf_rejections"] == {
-        (16, 2): {"det": 576, "divisors": 192, "deviation": 0},
-        (81, 3): {"det": 3264, "divisors": 192, "deviation": 0},
+        (16, 2): {"det": 576, "divisors": 192},
+        (81, 3): {"det": 3264, "divisors": 192},
     }[m, l]
     for w in rep.witnesses:
         assert matrix_det(w) == m

@@ -1,8 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from heckelab.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -110,8 +117,19 @@ def test_scaling_csv_has_a_column_per_rejection_reason(capsys):
     header, row = out.strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["count"] == "384"
-    assert (cells["leaf_rejections.det"], cells["leaf_rejections.divisors"],
-            cells["leaf_rejections.deviation"]) == ("576", "192", "0")
+    assert (cells["leaf_rejections.det"], cells["leaf_rejections.divisors"]) == ("576", "192")
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (("count", "--mode", "sdelta", "--n", "2"), "--m and --l"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1"), "--l"),
+    (("count", "--mode", "lembp", "--delta", "0.5"), "--poly"),
+], ids=["sdelta-no-m-l", "sdelta-no-l", "lembp-no-poly"])
+def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"needs {needs}" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(capsys):
@@ -137,6 +155,23 @@ def test_verify_suite(capsys):
     assert code == 0
     assert payload["verdict"] == "PASS"
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_verify_holds_without_assert_statements():
+    # python -O strips assert statements, so no check in the package may rely
+    # on one; the verify suite must still pass with them stripped
+    for path in sorted((SRC / "heckelab").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "heckelab.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "PASS"
 
 
 def test_output_file(tmp_path, capsys):

@@ -3,26 +3,24 @@ from itertools import combinations, product
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
 from heckelab.diophantine import (
     QuadPoly2,
     QuadraticForm,
-    _deviation_bracket,
     _extend_minors,
+    _floor_root,
     _int_nth_root,
     _minor_gcd,
     brute_force_S_delta,
     corollary_count_experiment,
     corollary_count_ladder,
-    det_power_bracket,
     deviation_at_most,
     enumerate_S_delta,
     fit_exponent,
     lembp_count,
-    matrix_deviation,
     quadratic_shell_points,
     scaling_experiment,
 )
@@ -107,11 +105,25 @@ def shell_in_windows_spec(q, lo, hi, coord_bound, windows):
     ]
 
 
+def root_bracket_spec(value, n, prec_bits):
+    """Rational bracket of value^(1/n), value >= 1, of width at most 2^-prec_bits,
+    by bisection from [0, 2^(bits/n + 1)]; zero-width when a midpoint is the root."""
+    lo, hi = Fraction(0), Fraction(2 ** (value.bit_length() // n + 1))
+    while hi - lo > Fraction(1, 2**prec_bits):
+        mid = (lo + hi) / 2
+        if mid**n == value:
+            return mid, mid
+        lo, hi = (mid, hi) if mid**n < value else (lo, mid)
+    return lo, hi
+
+
 def deviation_bracket_spec(gamma, Q, prec_bits):
     """The deviation bracket entry by entry in Fraction arithmetic."""
     n = Q.n
     det = matrix_det(gamma)
-    r_lo, r_hi = det_power_bracket(det, n, prec_bits)
+    if det <= 0:
+        raise ValueError("determinant must be positive")
+    r_lo, r_hi = root_bracket_spec(det * det, n, prec_bits)
     cols = list(zip(*gamma))
     gram = [[Q.apply(cols[i], cols[j]) for j in range(n)] for i in range(n)]
     dev_lo = Fraction(0)
@@ -128,6 +140,37 @@ def deviation_bracket_spec(gamma, Q, prec_bits):
             dev_lo = max(dev_lo, alo)
             dev_hi = max(dev_hi, ahi)
     return dev_lo, dev_hi
+
+
+def deviation_at_most_spec(gamma, Q, delta, prec_bits=60, max_bits=4096):
+    """deviation <= delta by bracketing det^(2/n) and doubling the precision
+    until the deviation bracket lies on one side of delta."""
+    delta = Fraction(delta)
+    bits = prec_bits
+    while bits <= max_bits:
+        lo, hi = deviation_bracket_spec(gamma, Q, bits)
+        if hi <= delta:
+            return True
+        if lo > delta:
+            return False
+        bits *= 2
+    raise RuntimeError("deviation test undecided at the maximum precision")
+
+
+def at_most_times_root(a, c, v, n):
+    """a <= c * v^(1/n) for integer a, rational c and integer v >= 0, by n-th powers."""
+    if c >= 0:
+        return a <= 0 or a**n <= c**n * v
+    return a <= 0 and (-a) ** n >= (-c) ** n * v
+
+
+def in_gram_window(g, s, scale, delta, det, n):
+    """(s - scale*delta) r <= g <= (s + scale*delta) r at r = det^(2/n), by n-th powers."""
+    width = scale * Fraction(delta)
+    return (
+        at_most_times_root(-g, width - s, det * det, n)
+        and at_most_times_root(g, s + width, det * det, n)
+    )
 
 
 # -- quadratic forms ---------------------------------------------------------------
@@ -415,13 +458,18 @@ def test_ladder_exponent_fit():
 # -- deviations ---------------------------------------------------------------------------
 
 
+JUST_BELOW = Fraction(1, 10**9)
+
+
 def test_matrix_deviation_examples():
-    assert matrix_deviation(((3, 0), (0, 3)), I2) == 0
+    # scaled isometries have deviation 0; diag(2, 1) has r = 2 and G / r =
+    # diag(2, 1/2), so deviation 1
     h = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
-    assert matrix_deviation(h, I4) == 0
-    assert matrix_deviation(((2, 0), (0, 1)), I2) == 1.0
+    for gamma, q, dev in ((((3, 0), (0, 3)), I2, 0), (h, I4, 0), (((2, 0), (0, 1)), I2, 1)):
+        assert deviation_at_most(gamma, q, dev)
+        assert not deviation_at_most(gamma, q, dev - JUST_BELOW)
     with pytest.raises(ValueError):
-        matrix_deviation(((0, 1), (1, 0)), I2)  # negative determinant
+        deviation_at_most(((0, 1), (1, 0)), I2, 1)  # negative determinant
 
 
 def test_deviation_gate_exact_and_irrational():
@@ -450,29 +498,73 @@ def test_int_nth_root_is_floor(v, n):
     assert r**n <= v < (r + 1) ** n
 
 
-@given(rational_spd_forms(), st.data(), st.sampled_from([4, 60]))
-@settings(max_examples=60, deadline=None)
-def test_deviation_bracket_matches_spec(q, data, prec_bits):
-    n = q.n
-    entries = st.integers(-4, 4)
-    gamma = data.draw(
-        st.tuples(*[st.tuples(*[entries] * n)] * n).filter(lambda g: matrix_det(g) > 0)
-    )
-    assert _deviation_bracket(gamma, q, prec_bits) == deviation_bracket_spec(gamma, q, prec_bits)
-
-
 def test_deviation_scale_invariance():
+    # det 5 and G = ((5, 5), (5, 10)), so G / r = ((1, 1), (1, 2)): deviation 1
     gamma = ((2, 1), (1, 3))
-    base = matrix_deviation(gamma, I2)
     doubled = tuple(tuple(2 * x for x in row) for row in gamma)
-    assert matrix_deviation(doubled, I2) == pytest.approx(base)
     # integer rotation of the form leaves the deviation unchanged
     rot = ((0, -1), (1, 0))
     rotated = tuple(
         tuple(sum(rot[i][k] * gamma[k][j] for k in range(2)) for j in range(2))
         for i in range(2)
     )
-    assert matrix_deviation(rotated, I2) == pytest.approx(base)
+    for g in (gamma, doubled, rotated):
+        assert deviation_at_most(g, I2, 1)
+        assert not deviation_at_most(g, I2, 1 - JUST_BELOW)
+
+
+@given(rational_spd_forms(max_n=4), st.integers(0, 10**40), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_deviation_at_most_matches_spec(q, c, wide, data):
+    # c I is a scaled isometry of every form; E moves gamma off it by entries
+    # of size up to 4 or up to 10^40
+    n = q.n
+    e = st.integers(-(10**40), 10**40) if wide else st.integers(-4, 4)
+    gamma = [[c * (i == j) + data.draw(e) for j in range(n)] for i in range(n)]
+    assume(matrix_det(gamma) != 0)
+    if matrix_det(gamma) < 0:
+        gamma[0] = [-x for x in gamma[0]]
+    gamma = tuple(map(tuple, gamma))
+    lo, hi = deviation_bracket_spec(gamma, q, 60)
+    delta = data.draw(st.sampled_from([0, lo, hi, (lo + hi) / 2, 2 * hi]))
+    delta += data.draw(st.sampled_from([-JUST_BELOW, 0, JUST_BELOW]))
+    assert deviation_at_most(gamma, q, delta) == deviation_at_most_spec(gamma, q, delta)
+
+
+@given(rational_spd_forms(max_n=4), st.integers(1, 10**6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_deviation_at_most_at_a_rational_deviation(q, t, data):
+    # gamma = L U with L unit lower and U upper triangular with diagonal t:
+    # det^2 = t^(2n) is a perfect n-th power, so r = t^2 and the deviation
+    # is rational
+    n = q.n
+    entries = st.integers(-(10**6), 10**6)
+    lower = [[1 if i == j else data.draw(entries) if i > j else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[t if i == j else data.draw(entries) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    gamma = tuple(
+        tuple(sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    dev, dev_hi = deviation_bracket_spec(gamma, q, 60)
+    assert dev == dev_hi
+    for delta, expected in ((dev, True), (dev - JUST_BELOW, False), (dev + JUST_BELOW, True)):
+        assert deviation_at_most(gamma, q, delta) == expected
+        assert deviation_at_most_spec(gamma, q, delta) == expected
+
+
+@given(
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**12),
+    st.integers(0, 2**200),
+    st.integers(1, 6),
+)
+@example(Fraction(-3, 2), 4, 2)  # -3/2 * 2 = -3 exactly
+@example(Fraction(-7, 3), 0, 3)
+def test_floor_root_is_floor(c, v, n):
+    f = _floor_root(c, v, n)
+    assert at_most_times_root(f, c, v, n)
+    assert not at_most_times_root(f + 1, c, v, n)
 
 
 # -- the matrix enumerator ------------------------------------------------------------------
@@ -499,19 +591,21 @@ def test_carried_minors_match_determinant_and_divisors(n, l, data):
         assert g2 == determinantal_divisors_bruteforce(gamma)[1]
 
 
-@pytest.mark.parametrize("delta,count,rejected", [
-    (1 / det_power_bracket(2, 3, 60)[1], 72, 384),
-    (1 / det_power_bracket(2, 3, 120)[0], 456, 0),
+@pytest.mark.parametrize("delta,count,nodes,rejections", [
+    (1 / root_bracket_spec(4, 3, 60)[1], 72, 306, {"det": 120, "divisors": 0}),
+    (1 / root_bracket_spec(4, 3, 120)[0], 456, 4950, {"det": 4176, "divisors": 0}),
 ], ids=["rejected", "accepted"])
-def test_deviation_decides_leaves_the_gram_windows_admit(delta, count, rejected):
-    # r = 2^(2/3) is irrational and the off-diagonal Gram windows admit
-    # G_ij = +-1 (r_hi delta > 1 at 60 bits); the deviation 1/r of such a
-    # matrix is above delta = 1/r_hi and below delta = 1/r_lo(120 bits), and
-    # in both cases the 60-bit bracket cannot decide it, only a doubling
+def test_deviation_decides_leaves_the_gram_windows_admit(delta, count, nodes, rejections):
+    # r = 2^(2/3) is irrational, and a matrix with an off-diagonal Gram entry
+    # G_ij = +-1 has deviation at least 1/r.  delta = 1/r_hi(60 bits) lies
+    # just below 1/r, so the windows of the off-diagonal entries are {0};
+    # delta = 1/r_lo(120 bits) lies just above it, so they are {-1, 0, 1}
     rep = enumerate_S_delta(I3, 2, 1, delta)
     assert rep.count == count
-    assert rep.notes["leaf_rejections"] == {"det": 4176, "divisors": 0, "deviation": rejected}
+    assert rep.notes["nodes"] == nodes
+    assert rep.notes["leaf_rejections"] == rejections
     assert rep.witnesses == brute_force_S_delta(I3, 2, 1, delta, 1)
+    assert all(deviation_at_most_spec(w, I3, delta) for w in rep.witnesses)
 
 
 def test_orthogonal_group_counts():
@@ -541,16 +635,13 @@ def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
     """nodes is the number of column prefixes (c_0, ..., c_j) of shell points
     meeting every pairwise Gram window and minor congruence."""
     n = q.n
-    r_lo, r_hi = det_power_bracket(m, n, 60)
 
-    def window(qij):
-        ends = [r * (qij + s * delta) for r in (r_lo, r_hi) for s in (-1, 1)]
-        return min(ends), max(ends)
+    def fits_window(x, y, s):
+        return in_gram_window(q.scaled_apply(x, y), s, q.scale, delta, m, n)
 
     def fits(cols):
         for i, j in combinations(range(len(cols)), 2):
-            w_lo, w_hi = window(q.entries[i][j])
-            if not w_lo <= q.apply(cols[i], cols[j]) <= w_hi:
+            if not fits_window(cols[i], cols[j], q.scaled[i][j]):
                 return False
             if any(
                 (cols[i][a] * cols[j][b] - cols[i][b] * cols[j][a]) % l
@@ -559,7 +650,14 @@ def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
                 return False
         return True
 
-    shells = [quadratic_shell_points(q, *window(q.entries[k][k])) for k in range(n)]
+    # r = m^(2/n) <= m bounds each diagonal window by (Q_kk + delta) m
+    shells = [
+        [
+            y for y in quadratic_shell_points(q, 0, (q.entries[k][k] + delta) * m)
+            if fits_window(y, y, q.scaled[k][k])
+        ]
+        for k in range(n)
+    ]
     brute = sum(
         fits(cols) for j in range(1, n + 1) for cols in product(*shells[:j])
     )
@@ -589,6 +687,12 @@ def test_rank_one_has_no_second_divisor():
     # a 1-by-1 matrix has no 2-by-2 minors, so D_2 = l is undefined
     with pytest.raises(ValueError):
         enumerate_S_delta(QuadraticForm.identity(1), 1, 1, DELTA)
+
+
+@pytest.mark.parametrize("m,l", [(0, 1), (1, 0)], ids=["m0", "l0"])
+def test_S_delta_rejects_nonpositive_m_and_l(m, l):
+    with pytest.raises(ValueError):
+        enumerate_S_delta(I2, m, l, DELTA)
 
 
 def test_rank_two_second_divisor_forces_det():
@@ -622,7 +726,7 @@ def test_witness_revalidation_independent(s81_report):
         assert matrix_det(w) == 81
         divs = determinantal_divisors_bruteforce(w)
         assert divs[0] == 1 and divs[1] == 3
-        assert deviation_at_most(w, I4, DELTA)
+        assert deviation_at_most_spec(w, I4, DELTA)
         for j1, j2 in combinations(range(4), 2):
             for a in range(4):
                 for b in range(4):
@@ -666,4 +770,4 @@ def test_scaling_experiment_single_rung():
     rep = scaling_experiment(QuadraticForm.identity(4), 1, [2])
     assert rep.exponent_fit is None
     assert rep.notes["ladder"][0]["count"] == 384
-    assert rep.notes["ladder"][0]["leaf_rejections"] == {"det": 576, "divisors": 192, "deviation": 0}
+    assert rep.notes["ladder"][0]["leaf_rejections"] == {"det": 576, "divisors": 192}
