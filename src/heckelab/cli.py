@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .linalg import require_prime
 from .partitions import Partition, verify_cholesky, weight_partitions
 from .satake import degree_via_satake, satake_image, verify_basic
 from .cosets import DEFAULT_BUDGET, CosetBudgetError, coset_decomposition, oracle_multiply
@@ -36,8 +37,33 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_BUDGET = 3
 
 
+class UsageError(Exception):
+    """An argument value the computation rejected; main reports it as a usage error."""
+
+
 def _parse_partition(text: str) -> Partition:
     return Partition(int(x) for x in text.split(","))
+
+
+def _parse_prime(text: str) -> int:
+    try:
+        require_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return int(text)
+
+
+def _parse_primes(text: str) -> list[int]:
+    return [_parse_prime(x) for x in text.split(",")]
+
+
+def _parse_fraction(text: str) -> str:
+    """Check that text is a rational literal; it stays text so reports echo it as given."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    return text
 
 
 def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
@@ -49,7 +75,7 @@ def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
         with open(source[5:]) as fh:
             rows = json.load(fh)
         return QuadraticForm(tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
-    raise argparse.ArgumentTypeError(f"unknown Q source {source!r}")
+    raise ValueError(f"unknown Q source {source!r}")
 
 
 def _flat_row(row: dict) -> dict:
@@ -185,27 +211,11 @@ def cmd_lem2(args) -> int:
 
 
 def cmd_count(args) -> int:
-    status = EXIT_OK
-    if args.mode == "lembp":
-        a, b, c, d, e, f = (Fraction(x) for x in args.poly.split(","))
-        rep = lembp_count(QuadPoly2(a, b, c, d, e, f), Fraction(args.delta))
-    elif args.mode == "corollary":
-        q = _parse_q(args.q, args.n, args.seed)
-        rep = corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed, Q=q)
-    elif args.mode == "sdelta":
-        q = _parse_q(args.q, args.n, args.seed)
-        rep = enumerate_S_delta(
-            q, args.m, args.l, Fraction(args.delta),
-            collect_witnesses=not args.no_witnesses, node_budget=args.budget,
-        )
-        if not rep.complete:
-            status = EXIT_BUDGET
-    else:  # scaling
-        q = _parse_q(args.q, 4, args.seed)
-        rep = scaling_experiment(q, args.nu, args.ladder or [2, 3, 5, 7],
-                                 Fraction(args.delta), node_budget=args.budget)
-        if not rep.complete:
-            status = EXIT_BUDGET
+    try:
+        rep = _count_report(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    status = EXIT_OK if rep.complete else EXIT_BUDGET
     payload = json.loads(rep.to_json(include_timing=args.timings))
     ladder_rows = rep.notes.get("ladder")
     if args.witness_file and rep.witnesses is not None:
@@ -213,6 +223,24 @@ def cmd_count(args) -> int:
             fh.write(rep.to_json(include_timing=args.timings) + "\n")
     _emit(args, {"report": payload}, ladder_rows=ladder_rows)
     return status
+
+
+def _count_report(args):
+    if args.mode == "lembp":
+        a, b, c, d, e, f = (Fraction(x) for x in args.poly.split(","))
+        return lembp_count(QuadPoly2(a, b, c, d, e, f), Fraction(args.delta))
+    if args.mode == "corollary":
+        q = _parse_q(args.q, args.n, args.seed)
+        return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed, Q=q)
+    if args.mode == "sdelta":
+        q = _parse_q(args.q, args.n, args.seed)
+        return enumerate_S_delta(
+            q, args.m, args.l, Fraction(args.delta),
+            collect_witnesses=not args.no_witnesses, node_budget=args.budget,
+        )
+    q = _parse_q(args.q, 4, args.seed)  # scaling
+    return scaling_experiment(q, args.nu, args.ladder or [2, 3, 5, 7],
+                              Fraction(args.delta), node_budget=args.budget)
 
 
 def cmd_verify(args) -> int:
@@ -272,32 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("satake", help="image of a double-coset operator")
     sp.add_argument("--a", type=_parse_partition, required=True)
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_parse_prime, required=True)
     sp.set_defaults(func=cmd_satake)
 
     sp = sub.add_parser("multiply", help="structure constants via both routes")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_parse_prime, required=True)
     sp.add_argument("--a", type=_parse_partition, required=True)
     sp.add_argument("--b", type=_parse_partition, required=True)
     sp.set_defaults(func=cmd_multiply)
 
     sp = sub.add_parser("cosets", help="left-coset representatives and degree")
     sp.add_argument("--a", type=_parse_partition, required=True)
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_parse_prime, required=True)
     sp.add_argument("--reps", action="store_true", help="include representatives")
     sp.set_defaults(func=cmd_cosets)
 
     sp = sub.add_parser("amplifier", help="solve the amplifier system")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, default=101)
-    sp.add_argument("--ladder", type=lambda s: [int(x) for x in s.split(",")])
+    sp.add_argument("--p", type=_parse_prime, default=101)
+    sp.add_argument("--ladder", type=_parse_primes)
     sp.set_defaults(func=cmd_amplifier)
 
     sp = sub.add_parser("lem2", help="adjoint-product decomposition table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--j", type=int, required=True)
-    sp.add_argument("--ladder", type=lambda s: [int(x) for x in s.split(",")],
-                    default=[2, 3, 5])
+    sp.add_argument("--ladder", type=_parse_primes, default=[2, 3, 5])
     sp.set_defaults(func=cmd_lem2)
 
     sp = sub.add_parser("count", help="counting experiments")
@@ -310,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--l", type=int)
     sp.add_argument("--nu", type=int, default=1)
-    sp.add_argument("--delta", default="1e-6")
+    sp.add_argument("--delta", type=_parse_fraction, default="1e-6")
     sp.add_argument("--q", default="identity", help="identity | random | file:PATH")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ladder", type=lambda s: [int(x) for x in s.split(",")])
@@ -337,6 +364,8 @@ def main(argv=None) -> int:
             parser.error(f"--mode {args.mode} needs {' and '.join(missing)}")
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except CosetBudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET

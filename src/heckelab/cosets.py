@@ -11,6 +11,13 @@ fixed target per class: the coefficient of the class c in T_a·T_b is the
 number of coset representatives y of b with diag(p^c)·y⁻¹ in the double
 coset of a.  Each count is repeated at the reversed diagonal, another left
 coset of the same class, and the two must agree.
+
+The right factor's side of that count is built once per (b, p) and cached:
+x = p^{|b|}·y⁻¹ for every representative y, grouped by its need vector,
+need_i = max(0, |b| − min_j v_p(x_ij)) over the nonzero entries of row i.
+diag(p^c)·y⁻¹ is integral exactly when c ≥ need componentwise, so one
+vector comparison decides integrality for a whole group, and only the
+groups that pass reach the Hermite-membership test.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .linalg import matrix_det
+from .linalg import matrix_det, require_prime
 from .partitions import Partition, enumerate_partitions
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -217,22 +224,23 @@ def _decompose_weight(n: int, weight: int, p: int):
     return {k: tuple(v) for k, v in groups.items()}
 
 
-def _divisors_for(a: Partition, p: int) -> tuple[int, ...]:
-    return tuple(p**e for e in sorted(a))
+def _reps(a: Partition, p: int) -> tuple[Matrix, ...]:
+    """The Hermite forms of a's cosets, read from the cached enumeration."""
+    divisors = tuple(p**e for e in sorted(a))
+    return _decompose_weight(a.n, a.weight, p).get(divisors, ())
 
 
 def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> CosetList:
     """Complete list of Hermite-form left-coset representatives for a at p."""
     a = Partition(a)
+    require_prime(p)
     budget = DEFAULT_BUDGET if budget is None else budget
     predicted = _candidate_count(a.n, a.weight, p)
     if predicted > budget:
         raise CosetBudgetError(
             f"coset enumeration needs {predicted} candidates (budget {budget})"
         )
-    groups = _decompose_weight(a.n, a.weight, p)
-    reps = groups.get(_divisors_for(a, p), ())
-    return CosetList(a=a, p=p, reps=reps)
+    return CosetList(a=a, p=p, reps=_reps(a, p))
 
 
 # -- multiplication by fixed-target counting -----------------------------------
@@ -254,27 +262,65 @@ def _scaled_inverse(y: Matrix, d: int) -> Matrix:
     return tuple(tuple(row) for row in x)
 
 
+def _need_vector(x: Matrix, p: int, w: int) -> tuple[int, ...]:
+    """Least c with diag(p^c)·x divisible by p^w: max(0, w − min_j v_p(x_ij)) per row.
+
+    The minimum runs over the nonzero entries of the row; a zero row needs
+    nothing.
+    """
+    need = []
+    for row in x:
+        low = w  # min(w, least valuation seen so far)
+        for v in row:
+            if v:
+                e = 0
+                while e < low and v % p == 0:
+                    v //= p
+                    e += 1
+                low = e
+        need.append(w - low)
+    return tuple(need)
+
+
+@lru_cache(maxsize=None)
+def _inverses_by_need(b: Partition, p: int):
+    """p^{|b|}·y⁻¹ for every coset representative y of b, grouped by need vector.
+
+    Built once per (b, p) from the cached enumeration, without a second
+    call to coset_decomposition; returns (need, inverses) pairs.
+    """
+    d = p**b.weight
+    groups: dict[tuple[int, ...], list[Matrix]] = {}
+    for y in _reps(b, p):
+        x = _scaled_inverse(y, d)
+        groups.setdefault(_need_vector(x, p, b.weight), []).append(x)
+    return tuple((need, tuple(xs)) for need, xs in groups.items())
+
+
 def _count_target(
     exps: tuple[int, ...],
     p: int,
     d: int,
-    inverses: tuple[Matrix, ...],
+    groups: tuple[tuple[tuple[int, ...], tuple[Matrix, ...]], ...],
     members: frozenset[Matrix],
 ) -> int:
     """Number of y with γ·y⁻¹ in the double coset of a, for γ = diag(p^exps).
 
-    Each entry of inverses is d·y⁻¹ and members holds the Hermite forms of
-    a's cosets.  γ·y⁻¹ must be integral; being upper triangular with
-    positive diagonal, it lies in the double coset of a exactly when its
-    Hermite form is a member.
+    groups holds the (need, inverses) pairs of _inverses_by_need: each
+    inverse is x = d·y⁻¹, and γ·y⁻¹ = γ·x/d is integral exactly when exps ≥
+    need componentwise, so one comparison per group decides integrality.
+    members holds the Hermite forms of a's cosets; an integral γ·y⁻¹, being
+    upper triangular with positive diagonal, lies in the double coset of a
+    exactly when its Hermite form is a member.
     """
     scale = [p**e for e in exps]
     count = 0
-    for x in inverses:
-        if all(s * v % d == 0 for s, row in zip(scale, x) for v in row):
-            g = tuple(tuple(s * v // d for v in row) for s, row in zip(scale, x))
-            if hermite_reduce_upper(g) in members:
-                count += 1
+    for need, inverses in groups:
+        if all(e >= k for e, k in zip(exps, need)):
+            for x in inverses:
+                g = tuple(tuple(s * v // d for v in row) for s, row in zip(scale, x))
+                if hermite_reduce_upper(g) in members:
+                    count += 1
     return count
 
 
@@ -290,6 +336,10 @@ def oracle_multiply(
     again at the reversed diagonal, which lies in another left coset of the
     same class whenever the parts of c are not all equal; the two counts
     must agree.  Classes with coefficient 0 are left out.
+
+    b's scaled inverses and their need vectors come from a cache kept per
+    (b, p), so a right factor shared by several products is inverted once;
+    both coset decompositions and the budget check still run on every call.
     """
     a, b = Partition(a), Partition(b)
     if a.n != b.n:
@@ -302,13 +352,13 @@ def oracle_multiply(
     if tests > budget:
         raise CosetBudgetError(f"{tests} integrality tests exceed budget {budget}")
     d = p**b.weight
-    inverses = tuple(_scaled_inverse(y, d) for y in cb.reps)
+    groups = _inverses_by_need(b, p)
     members = frozenset(ca.reps)
     out: dict[Partition, int] = {}
     for c in targets:
-        count = _count_target(c, p, d, inverses, members)
+        count = _count_target(c, p, d, groups, members)
         if c[0] != c[-1]:
-            again = _count_target(c[::-1], p, d, inverses, members)
+            again = _count_target(c[::-1], p, d, groups, members)
             if again != count:
                 raise ArithmeticError(
                     f"class {tuple(c)} counted {count} at diag(p^c) "

@@ -9,12 +9,20 @@ certifies positive definiteness.  column_echelon brings an integer matrix
 to column echelon form by unimodular column operations (extended gcd), the
 basis change behind enumerating lattice points under linear windows, and
 lll reduces a lattice basis under an integer inner product, so that the
-enumeration runs on short, nearly orthogonal vectors.
+enumeration runs on short, nearly orthogonal vectors.  require_prime is
+the one primality check behind every function that takes a prime p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+
+
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime, by trial division."""
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime >= 2, got {p}")
 
 
 def matrix_det(m) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import require_prime
 from .partitions import Partition, dominance_leq
 from .sympoly import SymPoly, denominators_are_powers_of, hall_littlewood_p, schur
 
@@ -39,8 +40,7 @@ class SatakeImage:
 def satake_image(a: Partition, p: int) -> SatakeImage:
     """Exact Satake image of the double-coset operator for a at the prime p."""
     a = Partition(a)
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    require_prime(p)
     scaled = hall_littlewood_p(a, Fraction(1, p))
     if scaled.homogeneous_degree() != a.weight:
         raise ArithmeticError(f"image of {a}, p={p} is not homogeneous of degree {a.weight}")

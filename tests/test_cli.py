@@ -132,6 +132,39 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
     assert f"needs {needs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("multiply", "--p", "4", "--a", "1,0", "--b", "1,0"), "p must be a prime"),
+    (("cosets", "--a", "1,0", "--p", "0"), "p must be a prime"),
+    (("amplifier", "--n", "2", "--ladder", "5,9"), "p must be a prime"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "0", "--l", "1"),
+     "m and l must be positive"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--delta", "abc"),
+     "not a rational number"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "bogus"),
+     "unknown Q source"),
+], ids=["composite-p", "zero-p", "composite-ladder", "sdelta-m-zero", "delta-abc",
+        "unknown-q"])
+def test_invalid_values_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_failed_check_is_not_a_usage_error(monkeypatch):
+    # count maps the enumerators' ValueErrors to exit 2; an ArithmeticError
+    # from a failed check must still propagate (exit 1)
+    from heckelab import cli
+
+    def failed_check(*args, **kwargs):
+        raise ArithmeticError("witness failed re-validation")
+
+    monkeypatch.setattr(cli, "enumerate_S_delta", failed_check)
+    with pytest.raises(ArithmeticError):
+        main(["count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1"])
+
+
 def test_reports_are_deterministic(capsys):
     _, out1 = run(capsys, "amplifier", "--n", "2", "--p", "7")
     _, out2 = run(capsys, "amplifier", "--n", "2", "--p", "7")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckelab import cosets
 from heckelab.partitions import Partition, enumerate_partitions
@@ -125,6 +126,12 @@ def test_decomposition_reps_are_valid():
             assert matrix_det(rep) == p**a.weight
             assert elementary_divisors(rep) == target
             assert hermite_reduce_upper(rep) == rep
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9])
+def test_decomposition_rejects_composite_p(p):
+    with pytest.raises(ValueError, match="prime"):
+        coset_decomposition(Partition((1, 0)), p)
 
 
 def test_budget_guard():
@@ -262,6 +269,62 @@ def test_oracle_rejects_unequal_diagonal_counts(monkeypatch):
     monkeypatch.setattr(cosets, "_count_target", miscount_reversed)
     with pytest.raises(ArithmeticError):
         oracle_multiply(Partition((1, 0)), Partition((1, 0)), 2)
+
+
+def _integral_after_scaling(x, c, p, w):
+    """Spec for the need vector: p^{c_i}·x_ij divisible by p^w for every entry."""
+    d = p**w
+    return all(p**ci * v % d == 0 for ci, row in zip(c, x) for v in row)
+
+
+@st.composite
+def _upper_and_exponents(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(0, 5))
+    # units times p-powers, so that valuations up to and beyond w all occur
+    entry = st.builds(lambda u, k: u * p**k, st.integers(-7, 7), st.integers(0, 6))
+    x = tuple(
+        tuple(draw(entry) if j >= i else 0 for j in range(n)) for i in range(n)
+    )
+    # c_i > w always passes, so exponents stay in [0, w] where the rule bites
+    c = tuple(draw(st.integers(0, w)) for _ in range(n))
+    return x, c, p, w
+
+
+@settings(max_examples=400)
+@given(_upper_and_exponents())
+def test_need_vector_decides_integrality(case):
+    x, c, p, w = case
+    need = cosets._need_vector(x, p, w)
+    assert all(ci >= k for ci, k in zip(c, need)) == _integral_after_scaling(x, c, p, w)
+
+
+def test_oracle_budget_holds_after_cache():
+    # a cached right factor does not bypass either budget check:
+    # (2,1,0) at p = 3 enumerates 1 210 candidates and needs 2 184 tests
+    a = Partition((2, 1, 0))
+    assert oracle_multiply(a, a, 3, budget=10**6)
+    for budget in (2000, 1000):
+        with pytest.raises(CosetBudgetError):
+            oracle_multiply(a, a, 3, budget=budget)
+
+
+def test_oracle_decomposes_both_factors_every_call(monkeypatch):
+    calls = []
+    decompose = cosets.coset_decomposition
+
+    def counted(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(cosets, "coset_decomposition", counted)
+    a, b = Partition((2, 0, 0)), Partition((1, 1, 0))
+    first = oracle_multiply(a, b, 3)
+    assert len(calls) == 2
+    # the second product hits the per-(b, p) cache of scaled inverses
+    assert oracle_multiply(a, b, 3) == first
+    assert len(calls) == 4
 
 
 def test_oracle_rejects_mixed_ranks():

@@ -40,6 +40,12 @@ def test_rejects_negative_parts():
         satake_image(Partition((1, -1)), 3)
 
 
+@pytest.mark.parametrize("p", [1, 4, 6, 25])
+def test_rejects_composite_p(p):
+    with pytest.raises(ValueError, match="prime"):
+        satake_image(Partition((1, 0)), p)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
