@@ -72,8 +72,11 @@ def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
     if source == "random":
         return QuadraticForm.random_spd(n, seed)
     if source.startswith("file:"):
-        with open(source[5:]) as fh:
-            rows = json.load(fh)
+        try:
+            with open(source[5:]) as fh:
+                rows = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read Q file {source[5:]!r}: {exc.strerror}") from exc
         return QuadraticForm(tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
     raise ValueError(f"unknown Q source {source!r}")
 

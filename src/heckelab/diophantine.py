@@ -19,10 +19,13 @@ The matrix search builds matrices column by column.  Each column k starts
 from a pool of points of its quadratic shell; fixing a column filters every
 later pool by the Gram window against it and by the congruences forcing
 all 2-by-2 minors with it to vanish modulo the divisor target, so every
-leaf already meets the deviation bound.  The minors and gcds of the fixed
-columns are carried down the search, so a full matrix is decided without
-re-deriving them: its determinant is one dot product and its divisors two
-gcds.
+leaf already meets the deviation bound.  A pool is an integer bitmask over
+its column's shell.  Whether a shell point passes this filter against a
+fixed point depends only on the two points and three entries of the form,
+so each fixed point's filter is decided once, as a bitmask, and filtering
+a pool is one integer AND.  The minors and gcds of the fixed columns are
+carried down the search, so a full matrix is decided without re-deriving
+them: its determinant is one dot product and its divisors two gcds.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
-
-import numpy as np
 
 from .cosets import determinantal_divisors
 from .linalg import column_echelon, ldl, lll, matrix_det, solve
@@ -87,6 +88,8 @@ class QuadraticForm:
     @classmethod
     def random_spd(cls, n: int, seed: int, max_condition: float = 16.0) -> "QuadraticForm":
         """Seed-deterministic integer SPD form with bounded condition number."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         while True:
             b = rng.integers(-2, 3, size=(n, n))
@@ -116,6 +119,8 @@ class QuadraticForm:
         bounds 1/trace(Q^-1) <= lambda_min and lambda_max <= trace(Q); a
         lower candidate that rounds to 0 or below is replaced by the former.
         """
+        import numpy as np
+
         n = self.n
         try:
             w = np.linalg.eigvalsh([[float(x) for x in row] for row in self.entries])
@@ -236,7 +241,7 @@ def lembp_count(
     The positive-definite quadratic part confines solutions; the search box
     is certified from a rational lower bound on its smallest eigenvalue.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     delta = Fraction(delta)
     if P.a <= 0 or P.discriminant >= 0:
         raise ValueError("quadratic part must be positive definite")
@@ -266,7 +271,7 @@ def lembp_count(
         },
         count=count,
         witnesses=witnesses,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -396,7 +401,7 @@ def corollary_count_experiment(
     quadratic_shell_points generates the shell points inside all of them
     exactly; the conditions need not be independent.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = Q.n
     if not (0 <= k <= n - 2 and len(xs) == k and len(q) == k + 1):
         raise ValueError("need 0 <= k <= n - 2, k vectors xs and k + 1 targets q")
@@ -428,12 +433,14 @@ def corollary_count_experiment(
         },
         count=len(hits),
         witnesses=[(y,) for y in hits] if collect_witnesses else None,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
     )
 
 
 def fit_exponent(sizes, counts) -> float | None:
     """Least-squares slope of log(count) against log(size); None if degenerate."""
+    import numpy as np
+
     pairs = [(s, c) for s, c in zip(sizes, counts) if c > 0]
     if len(pairs) < 2:
         return None
@@ -459,7 +466,9 @@ def corollary_count_ladder(
     representation numbers; the constraint values q are read off random
     integer vectors of size about X.
     """
-    t0 = time.time()
+    import numpy as np
+
+    t0 = time.perf_counter()
     Q = QuadraticForm.random_spd(n, seed) if Q is None else Q
     rng = np.random.default_rng(seed + 1)
     counts = []
@@ -494,7 +503,7 @@ def corollary_count_ladder(
         },
         count=sum(counts),
         exponent_fit=fit_exponent(Xs, counts),
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         notes={"ladder": ladder},
     )
 
@@ -570,18 +579,34 @@ def deviation_at_most(gamma: Matrix, Q: QuadraticForm, delta) -> bool:
 # -- the matrix enumerator -----------------------------------------------------------
 
 
-def _extend_minors(minors: dict, col) -> dict:
-    """The (j+1)-minors of the matrix (fixed | col), keyed by their sorted
-    row tuples, from the j-minors of fixed: one Laplace step along col."""
-    j = len(next(iter(minors)))
-    out = {}
-    for rows in combinations(range(len(col)), j + 1):
+def _laplace_plan(n: int) -> list[list[tuple[tuple[int, int, int], ...]]]:
+    """plan[j] lists, for each (j+1)-subset of the n rows in combinations
+    order, its Laplace expansion along a new last column: one term
+    (row r, index of the j-minor on the other rows, sign) per row r."""
+    plan = []
+    for j in range(n):
+        index = {rows: t for t, rows in enumerate(combinations(range(n), j))}
+        plan.append([
+            tuple(
+                (r, index[rows[:t] + rows[t + 1:]], -1 if (t + j) % 2 else 1)
+                for t, r in enumerate(rows)
+            )
+            for rows in combinations(range(n), j + 1)
+        ])
+    return plan
+
+
+def _extend_minors(minors: list[int], col, terms) -> list[int]:
+    """The (j+1)-minors of the matrix (fixed | col), in combinations order of
+    their rows, from the j-minors of fixed and terms = _laplace_plan(n)[j]."""
+    out = []
+    for expansion in terms:
         acc = 0
-        for t, r in enumerate(rows):
-            if col[r]:
-                term = col[r] * minors[rows[:t] + rows[t + 1:]]
-                acc += -term if (t + j) % 2 else term
-        out[rows] = acc
+        for r, t, sign in expansion:
+            c = col[r]
+            if c:
+                acc += sign * c * minors[t]
+        out.append(acc)
     return out
 
 
@@ -598,6 +623,14 @@ def _minor_gcd(g: int, fixed, x, stop: int) -> int:
                 return g
             g = gcd(g, f[a] * x[b] - f[b] * x[a])
     return g
+
+
+def _set_bits(bits: int):
+    """The indices of the set bits of bits >= 0, in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def enumerate_S_delta(
@@ -622,6 +655,13 @@ def enumerate_S_delta(
     column prefixes meeting every such condition, and node_budget bounds
     that count.
 
+    Each pool is an integer bitmask over its column's shell, and its set
+    bits are visited in ascending order, which is shell order.  The points
+    of column k's shell that fit point i of column j's shell form a bitmask
+    that depends only on scale*Q_jj, scale*Q_kk, scale*Q_jk and i; it is
+    computed on first use and shared by the column pairs with equal
+    entries (all of them for I_n), so filtering a pool is pool & mask.
+
     A leaf (a full matrix) therefore meets the deviation bound once its
     determinant is m, and it is decided from state carried down the search:
     the minors of the fixed columns, extended by one Laplace step per
@@ -630,7 +670,7 @@ def enumerate_S_delta(
     notes["leaf_rejections"] counts the leaves failing on the determinant
     and on the divisors, in that order of testing.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = Q.n
     if n < 2:
         raise ValueError("the second determinantal divisor needs rank at least 2")
@@ -648,7 +688,36 @@ def enumerate_S_delta(
         )
         for s in diagonal
     }
+    shell_of = [shells[Q.scaled[k][k]] for k in range(n)]
     pairs = list(combinations(range(n), 2))
+    plan = _laplace_plan(n)
+    # masks[j][k][i] is the bitmask over column k's shell of the points that
+    # fit point i of column j's shell, filled in on first use; it depends on
+    # that point and the entries scale*Q_jj, scale*Q_kk and scale*Q_jk only,
+    # so column pairs with equal entries share one table
+    tables: dict[tuple[int, int, int], list] = {}
+    masks = [
+        {
+            k: tables.setdefault(
+                (Q.scaled[j][j], Q.scaled[k][k], Q.scaled[j][k]), [None] * len(shell_of[j])
+            )
+            for k in range(j + 1, n)
+        }
+        for j in range(n)
+    ]
+
+    def fit_mask(col, shell, s_jk: int) -> int:
+        # the x in shell whose Gram entry with col lies in the window of s_jk
+        # and whose 2-by-2 minors with col all vanish mod l
+        g_lo, g_hi = windows[s_jk]
+        img = [sum(map(mul, row, col)) for row in Q.scaled]
+        bits = 0
+        for t, x in enumerate(shell):
+            if g_lo <= sum(map(mul, img, x)) <= g_hi and all(
+                (col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs
+            ):
+                bits |= 1 << t
+        return bits
 
     nodes = 0
     complete = True
@@ -660,17 +729,16 @@ def enumerate_S_delta(
         # the last column x completes the matrix: det = <cof, x> by Laplace
         # expansion along it, from the (n-1)-minors of the fixed columns
         nonlocal nodes, count, complete
-        last = n - 1
-        full = tuple(range(n))
-        cof = [
-            minors[full[:t] + full[t + 1:]] * (-1 if (t + last) % 2 else 1)
-            for t in range(n)
-        ]
-        for x in pool:
+        cof = [0] * n
+        for r, t, sign in plan[n - 1][0]:
+            cof[r] = sign * minors[t]
+        shell = shell_of[n - 1]
+        for i in _set_bits(pool):
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
+            x = shell[i]
             if sum(map(mul, cof, x)) != m:
                 rejections["det"] += 1
                 continue
@@ -684,37 +752,38 @@ def enumerate_S_delta(
                 witnesses.append(tuple(zip(*fixed, x)))
 
     def search(fixed, pools, minors, g1, g2):
-        # pools[k - j] holds the points of column k's shell that fit every
-        # fixed column, where j = len(fixed); minors maps each j-subset of
-        # rows to the minor of the fixed columns on it; g1 and g2 are the
-        # gcds of their entries and of their 2-by-2 minors
+        # pools[k - j] is the bitmask over column k's shell of the points
+        # that fit every fixed column, where j = len(fixed); minors lists the
+        # minors of the fixed columns on the j-subsets of rows, in
+        # combinations order; g1 and g2 are the gcds of their entries and of
+        # their 2-by-2 minors
         nonlocal nodes, complete
         j = len(fixed)
         if j == n - 1:
             leaves(fixed, pools[0], minors, g1, g2)
             return
-        for col in pools[0]:
+        shell, row = shell_of[j], masks[j]
+        for i in _set_bits(pools[0]):
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            img = [sum(map(mul, row, col)) for row in Q.scaled]
+            col = shell[i]
             later = []
             for k, pool in enumerate(pools[1:], j + 1):
-                g_lo, g_hi = windows[Q.scaled[j][k]]
-                later.append([
-                    x for x in pool
-                    if g_lo <= sum(map(mul, img, x)) <= g_hi
-                    and all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs)
-                ])
+                table = row[k]
+                mask = table[i]
+                if mask is None:
+                    mask = table[i] = fit_mask(col, shell_of[k], Q.scaled[j][k])
+                later.append(pool & mask)
             search(
-                fixed + [col], later, _extend_minors(minors, col),
+                fixed + [col], later, _extend_minors(minors, col, plan[j]),
                 gcd(g1, *col), _minor_gcd(g2, fixed, col, l),
             )
             if not complete:
                 return
 
-    search([], [shells[Q.scaled[k][k]] for k in range(n)], {(): 1}, 0, 0)
+    search([], [(1 << len(shell)) - 1 for shell in shell_of], [1], 0, 0)
     witnesses.sort()
     return CountReport(
         parameters={
@@ -728,26 +797,37 @@ def enumerate_S_delta(
         },
         count=count,
         witnesses=witnesses if collect_witnesses else None,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         complete=complete,
         notes={"nodes": nodes, "leaf_rejections": rejections},
     )
 
 
 def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> list[Matrix]:
-    """Unpruned reference search over the full entry box (small cases only)."""
+    """Unpruned reference search over the full entry box (small cases only).
+
+    Every matrix with entries in [-box, box] is tested.  Its determinant is
+    the Laplace expansion along the last column, with the cofactors taken
+    by matrix_det once per choice of the other columns.
+    """
     n = Q.n
     delta = Fraction(delta)
+    vectors = list(product(range(-box, box + 1), repeat=n))
     out = []
-    for flat in product(range(-box, box + 1), repeat=n * n):
-        gamma = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
-        if matrix_det(gamma) != m:
-            continue
-        divs = determinantal_divisors(gamma)
-        if divs[0] != 1 or divs[1] != l:
-            continue
-        if deviation_at_most(gamma, Q, delta):
-            out.append(gamma)
+    for head in product(vectors, repeat=n - 1):
+        cof = [
+            (-1) ** (r + n - 1) * matrix_det([[c[i] for c in head] for i in range(n) if i != r])
+            for r in range(n)
+        ]
+        for last in vectors:
+            if sum(map(mul, cof, last)) != m:
+                continue
+            gamma = tuple(zip(*head, last))
+            divs = determinantal_divisors(gamma)
+            if divs[0] != 1 or divs[1] != l:
+                continue
+            if deviation_at_most(gamma, Q, delta):
+                out.append(gamma)
     return sorted(out)
 
 
@@ -763,7 +843,7 @@ def scaling_experiment(
     The benchmark to beat is slope 3 (growth of the full coset count); the
     per-nu target is 3 - 1/(2 nu).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if Q.n != 4:
         raise ValueError("the scaling ladder is a rank-4 experiment")
     ladder = []
@@ -793,7 +873,7 @@ def scaling_experiment(
         },
         count=sum(counts),
         exponent_fit=slope,
-        elapsed=time.time() - t0,
+        elapsed=time.perf_counter() - t0,
         complete=complete,
         notes={
             "ladder": ladder,

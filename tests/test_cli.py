@@ -152,6 +152,16 @@ def test_invalid_values_are_usage_errors(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_q_file_is_a_usage_error(tmp_path, capsys, name):
+    source = f"file:{tmp_path / name}"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", source])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read Q file" in err and "Traceback" not in err
+
+
 def test_failed_check_is_not_a_usage_error(monkeypatch):
     # count maps the enumerators' ValueErrors to exit 2; an ArithmeticError
     # from a failed check must still propagate (exit 1)
@@ -205,6 +215,19 @@ def test_verify_holds_without_assert_statements():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "PASS"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported only by the functions that use it, so commands such
+    # as multiply, cosets and amplifier start without paying for it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, heckelab.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_output_file(tmp_path, capsys):

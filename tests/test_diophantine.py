@@ -13,6 +13,7 @@ from heckelab.diophantine import (
     _extend_minors,
     _floor_root,
     _int_nth_root,
+    _laplace_plan,
     _minor_gcd,
     brute_force_S_delta,
     corollary_count_experiment,
@@ -579,14 +580,17 @@ def test_carried_minors_match_determinant_and_divisors(n, l, data):
         tuple(data.draw(st.integers(-5, 5)) * (l if j else 1) for _ in range(n))
         for j in range(n)
     ]
-    minors, g2 = {(): 1}, 0
+    plan = _laplace_plan(n)
+    minors, g2 = [1], 0
     for j, col in enumerate(cols):
         g2 = _minor_gcd(g2, cols[:j], col, l)
-        minors = _extend_minors(minors, col)
-        for rows, minor in minors.items():
+        minors = _extend_minors(minors, col, plan[j])
+        subsets = list(combinations(range(n), j + 1))
+        assert len(minors) == len(subsets)
+        for rows, minor in zip(subsets, minors):
             assert minor == matrix_det([[cols[c][r] for c in range(j + 1)] for r in rows])
     gamma = tuple(zip(*cols))
-    assert minors == {tuple(range(n)): matrix_det(gamma)}
+    assert minors == [matrix_det(gamma)]
     if n >= 2 and matrix_det(gamma):
         assert g2 == determinantal_divisors_bruteforce(gamma)[1]
 
@@ -627,10 +631,22 @@ def test_small_cases_match_brute_force():
         assert rep.witnesses == brute_force_S_delta(q, m, l, DELTA, box), (m, l)
 
 
+# Column pairs (j, k) whose entries Q_jj, Q_kk, Q_jk differ must not share
+# pool filters.  The pairs of Q3_MIXED differ in every pair of entries; two
+# pairs of Q3_EQUAL_DIAGONAL differ only in Q_jk; two pairs of
+# Q3_EQUAL_OFF_DIAGONAL differ only in Q_jj, and two others only in Q_kk.
+Q3_MIXED = QuadraticForm(((2, 1, 0), (1, 3, 1), (0, 1, 2)))
+Q3_EQUAL_DIAGONAL = QuadraticForm(((2, 1, 1), (1, 2, 0), (1, 0, 2)))
+Q3_EQUAL_OFF_DIAGONAL = QuadraticForm(((2, 1, 1), (1, 3, 1), (1, 1, 4)))
+
+
 @pytest.mark.parametrize("q,m,l,delta,prefixes", [
     (I3, 2, 1, Fraction(2, 5), 306),
     (I3, 4, 2, Fraction(2, 5), None),
-], ids=["I3-m2-l1", "I3-m4-l2"])
+    (Q3_MIXED, 4, 2, Fraction(1), 196),
+    (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 108),
+    (Q3_EQUAL_OFF_DIAGONAL, 1, 1, Fraction(1), 100),
+], ids=["I3-m2-l1", "I3-m4-l2", "Q3mixed-m4-l2", "Q3eqdiag-m1-l1", "Q3eqoff-m1-l1"])
 def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
     """nodes is the number of column prefixes (c_0, ..., c_j) of shell points
     meeting every pairwise Gram window and minor congruence."""
@@ -665,6 +681,24 @@ def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
     assert rep.notes["nodes"] == brute
     if prefixes is not None:
         assert brute == prefixes
+
+
+# box bounds every entry of a witness: a column y meets
+# y^T Q y <= (Q_kk + delta) m^(2/3), and y_i^2 <= y^T Q y (Q^-1)_ii.
+# Q3_MIXED: y^T Q y < 10.1 and (Q^-1)_ii <= 5/8, so |y_i| <= 2.
+# Q3_EQUAL_DIAGONAL: y^T Q y <= 5/2 and (Q^-1)_ii <= 1, so |y_i| <= 1.
+# Q3_EQUAL_OFF_DIAGONAL: y^T Q y <= 5 and (Q^-1)_ii <= 11/17, so |y_i| <= 1.
+@pytest.mark.parametrize("q,m,l,delta,count,nodes,rejections,box", [
+    (Q3_MIXED, 4, 2, 1, 40, 196, {"det": 48, "divisors": 0}, 2),
+    (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 24, 108, {"det": 24, "divisors": 0}, 1),
+    (Q3_EQUAL_OFF_DIAGONAL, 1, 1, 1, 26, 100, {"det": 38, "divisors": 0}, 1),
+], ids=["Q3mixed-m4-l2", "Q3eqdiag-m1-l1", "Q3eqoff-m1-l1"])
+def test_S_delta_where_column_pairs_differ(q, m, l, delta, count, nodes, rejections, box):
+    rep = enumerate_S_delta(q, m, l, delta)
+    assert rep.count == count
+    assert rep.notes["nodes"] == nodes
+    assert rep.notes["leaf_rejections"] == rejections
+    assert rep.witnesses == brute_force_S_delta(q, m, l, delta, box)
 
 
 def test_S_delta_on_ill_conditioned_equivalent_form():
@@ -744,9 +778,20 @@ def test_delta_robustness(hadamard_report):
     assert hadamard_report.count == b == 384
 
 
-def test_budget_flagging():
+def test_budget_flagging(s81_report):
     rep = enumerate_S_delta(I4, 81, 3, DELTA, collect_witnesses=False, node_budget=50)
     assert not rep.complete
+    # the search visits pools in shell order, so a cut keeps a fixed prefix
+    rep = enumerate_S_delta(I4, 81, 3, DELTA, node_budget=5000)
+    assert not rep.complete
+    assert rep.count == len(rep.witnesses) == 1446
+    assert rep.notes["nodes"] == 5001
+    assert rep.notes["leaf_rejections"] == {"det": 1522, "divisors": 76}
+    assert set(rep.witnesses) <= set(s81_report.witnesses)
+    # the reverse order cuts off the negated witnesses, with the same counts
+    # by the symmetry of I4; the ends of the sorted list tell them apart
+    assert rep.witnesses[0] == ((-3, 0, 0, 0), (0, -2, -2, -1), (0, -2, 1, 2), (0, 1, -2, 2))
+    assert rep.witnesses[-1] == ((0, 3, 0, 0), (-1, 0, 2, 2), (2, 0, 2, -1), (2, 0, -1, 2))
 
 
 def test_report_serialization_roundtrip():
