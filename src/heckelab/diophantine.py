@@ -22,10 +22,14 @@ all 2-by-2 minors with it to vanish modulo the divisor target, so every
 leaf already meets the deviation bound.  A pool is an integer bitmask over
 its column's shell.  Whether a shell point passes this filter against a
 fixed point depends only on the two points and three entries of the form,
-so each fixed point's filter is decided once, as a bitmask, and filtering
-a pool is one integer AND.  The minors and gcds of the fixed columns are
-carried down the search, so a full matrix is decided without re-deriving
-them: its determinant is one dot product and its divisors two gcds.
+so each point is tested at most once against each fixed point, and
+filtering a pool is one integer AND with the points found to pass.  The
+Gram window of a fixed point is decided for a whole shell at once: the
+shell's coordinates are packed as the digits of a few big ints, so its
+Gram entries with the point are one integer combination of them.  The
+minors and gcds of the fixed columns are carried down the search, so a
+full matrix is decided without re-deriving them: its determinant is one
+dot product and its divisors two gcds.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
@@ -633,6 +638,46 @@ def _set_bits(bits: int):
         bits ^= low
 
 
+# -- lanes: many small integers as the digits of one int -----------------------------
+#
+# An int sum_t v_t 2^(width t) holds the values v_t in lanes of width bits.
+# An integer combination of such ints holds the same combination of their
+# values lane by lane, so one linear form is evaluated on a whole shell of
+# points by a few big-int operations.
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=64)
+def _lane_ones(size: int, width: int) -> int:
+    """sum_t 2^(width t) over t < size: a 1 in each lane (width a multiple of 8)."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * size, "little")
+
+
+def _pack_lanes(values, width: int) -> int:
+    """sum_t values[t] 2^(width t), for |values[t]| < 2^(width-1)."""
+    half = 1 << (width - 1)
+    digits = b"".join((v + half).to_bytes(width // 8, "little") for v in values)
+    return int.from_bytes(digits, "little") - half * _lane_ones(len(values), width)
+
+
+def _lanes_in_window(total: int, size: int, width: int, lo: int, hi: int) -> int:
+    """The bitmask of the t < size with lo <= v_t <= hi, for total =
+    sum_t v_t 2^(width t) with |v_t - lo| and |v_t - hi - 1| below
+    2^(width-1)."""
+    if not size:
+        return 0
+    half = 1 << (width - 1)
+    ones = _lane_ones(size, width)
+    # lane t holds v_t - lo + half, resp. v_t - hi - 1 + half, which lie in
+    # [0, 2^width), so no lane borrows; its top bit says v_t >= lo, resp. v_t > hi
+    from_lo = total + (half - lo) * ones
+    past_hi = total + (half - hi - 1) * ones
+    tops = (from_lo & ~past_hi) >> (width - 1) & ones
+    flags = tops.to_bytes(size * width // 8, "little")[:: width // 8]
+    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+
+
 def enumerate_S_delta(
     Q: QuadraticForm,
     m: int,
@@ -656,11 +701,14 @@ def enumerate_S_delta(
     that count.
 
     Each pool is an integer bitmask over its column's shell, and its set
-    bits are visited in ascending order, which is shell order.  The points
-    of column k's shell that fit point i of column j's shell form a bitmask
-    that depends only on scale*Q_jj, scale*Q_kk, scale*Q_jk and i; it is
-    computed on first use and shared by the column pairs with equal
-    entries (all of them for I_n), so filtering a pool is pool & mask.
+    bits are visited in ascending order, which is shell order.  Whether a
+    point of column k's shell fits point i of column j's shell depends only
+    on the two points and scale*Q_jj, scale*Q_kk and scale*Q_jk, so the
+    results are kept as bitmasks shared by the column pairs with equal
+    entries (all of them for I_n), and filtering a pool is pool & fit.  On
+    first use, the Gram window is decided for the whole shell by lane
+    arithmetic (_lanes_in_window); the minor congruences are tested for a
+    point inside the window when it first shows up in a pool i filters.
 
     A leaf (a full matrix) therefore meets the deviation bound once its
     determinant is m, and it is decided from state carried down the search:
@@ -691,12 +739,30 @@ def enumerate_S_delta(
     shell_of = [shells[Q.scaled[k][k]] for k in range(n)]
     pairs = list(combinations(range(n), 2))
     plan = _laplace_plan(n)
-    # masks[j][k][i] is the bitmask over column k's shell of the points that
-    # fit point i of column j's shell, filled in on first use; it depends on
-    # that point and the entries scale*Q_jj, scale*Q_kk and scale*Q_jk only,
-    # so column pairs with equal entries share one table
+    # lanes wide enough for the Gram entry c^T (scale Q) x of any two shell
+    # points less any window end; lanes[k][r] packs coordinate r of column
+    # k's shell
+    reach = max((abs(v) for shell in shell_of for x in shell for v in x), default=0)
+    bound = (
+        n * n * max(abs(v) for row in Q.scaled for v in row) * reach * reach
+        + max(abs(v) for w in windows.values() for v in w) + 1
+    )
+    width = 8 * (bound.bit_length() // 8 + 1)
+    packed = {
+        s: [_pack_lanes([x[r] for x in shell], width) for r in range(n)]
+        for s, shell in shells.items()
+    }
+    lanes = [packed[Q.scaled[k][k]] for k in range(n)]
+    # tests[j][k][i] = [untested, fit] holds, as bitmasks over column k's
+    # shell, the points inside the Gram window of point i of column j's
+    # shell whose minors with it are not yet tested, and the points found
+    # to fit it.  Fitting depends on the two points and the entries
+    # scale*Q_jj, scale*Q_kk and scale*Q_jk only, so column pairs with
+    # equal entries share one table.  The window is decided for the whole
+    # shell at once, on first use, and a point's minors the first time it
+    # shows up in a pool that point i filters.
     tables: dict[tuple[int, int, int], list] = {}
-    masks = [
+    tests = [
         {
             k: tables.setdefault(
                 (Q.scaled[j][j], Q.scaled[k][k], Q.scaled[j][k]), [None] * len(shell_of[j])
@@ -706,16 +772,12 @@ def enumerate_S_delta(
         for j in range(n)
     ]
 
-    def fit_mask(col, shell, s_jk: int) -> int:
-        # the x in shell whose Gram entry with col lies in the window of s_jk
-        # and whose 2-by-2 minors with col all vanish mod l
-        g_lo, g_hi = windows[s_jk]
-        img = [sum(map(mul, row, col)) for row in Q.scaled]
+    def minors_vanish(col, shell, fresh: int) -> int:
+        # the bits t of fresh with every 2-by-2 minor of (col, shell[t]) 0 mod l
         bits = 0
-        for t, x in enumerate(shell):
-            if g_lo <= sum(map(mul, img, x)) <= g_hi and all(
-                (col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs
-            ):
+        for t in _set_bits(fresh):
+            x = shell[t]
+            if all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs):
                 bits |= 1 << t
         return bits
 
@@ -762,20 +824,34 @@ def enumerate_S_delta(
         if j == n - 1:
             leaves(fixed, pools[0], minors, g1, g2)
             return
-        shell, row = shell_of[j], masks[j]
+        shell, row = shell_of[j], tests[j]
         for i in _set_bits(pools[0]):
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
             col = shell[i]
+            img = None
             later = []
             for k, pool in enumerate(pools[1:], j + 1):
-                table = row[k]
-                mask = table[i]
-                if mask is None:
-                    mask = table[i] = fit_mask(col, shell_of[k], Q.scaled[j][k])
-                later.append(pool & mask)
+                if not pool:
+                    later.append(0)
+                    continue
+                known = row[k][i]
+                if known is None:
+                    if img is None:
+                        img = [sum(map(mul, r, col)) for r in Q.scaled]
+                    total = sum(c * p for c, p in zip(img, lanes[k]) if c)
+                    window = _lanes_in_window(
+                        total, len(shell_of[k]), width, *windows[Q.scaled[j][k]]
+                    )
+                    # mod l = 1 every minor vanishes: the window decides
+                    known = row[k][i] = [window, 0] if l > 1 else [0, window]
+                fresh = pool & known[0]
+                if fresh:
+                    known[0] ^= fresh
+                    known[1] |= minors_vanish(col, shell_of[k], fresh)
+                later.append(pool & known[1])
             search(
                 fixed + [col], later, _extend_minors(minors, col, plan[j]),
                 gcd(g1, *col), _minor_gcd(g2, fixed, col, l),
@@ -804,30 +880,19 @@ def enumerate_S_delta(
 
 
 def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> list[Matrix]:
-    """Unpruned reference search over the full entry box (small cases only).
-
-    Every matrix with entries in [-box, box] is tested.  Its determinant is
-    the Laplace expansion along the last column, with the cofactors taken
-    by matrix_det once per choice of the other columns.
-    """
+    """Unpruned reference search over the full entry box (small cases only)."""
     n = Q.n
     delta = Fraction(delta)
-    vectors = list(product(range(-box, box + 1), repeat=n))
     out = []
-    for head in product(vectors, repeat=n - 1):
-        cof = [
-            (-1) ** (r + n - 1) * matrix_det([[c[i] for c in head] for i in range(n) if i != r])
-            for r in range(n)
-        ]
-        for last in vectors:
-            if sum(map(mul, cof, last)) != m:
-                continue
-            gamma = tuple(zip(*head, last))
-            divs = determinantal_divisors(gamma)
-            if divs[0] != 1 or divs[1] != l:
-                continue
-            if deviation_at_most(gamma, Q, delta):
-                out.append(gamma)
+    for flat in product(range(-box, box + 1), repeat=n * n):
+        gamma = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+        if matrix_det(gamma) != m:
+            continue
+        divs = determinantal_divisors(gamma)
+        if divs[0] != 1 or divs[1] != l:
+            continue
+        if deviation_at_most(gamma, Q, delta):
+            out.append(gamma)
     return sorted(out)
 
 

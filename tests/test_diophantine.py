@@ -13,8 +13,10 @@ from heckelab.diophantine import (
     _extend_minors,
     _floor_root,
     _int_nth_root,
+    _lanes_in_window,
     _laplace_plan,
     _minor_gcd,
+    _pack_lanes,
     brute_force_S_delta,
     corollary_count_experiment,
     corollary_count_ladder,
@@ -595,6 +597,23 @@ def test_carried_minors_match_determinant_and_divisors(n, l, data):
         assert g2 == determinantal_divisors_bruteforce(gamma)[1]
 
 
+@given(st.sampled_from([(8, 5, 76), (16, 100, 12766)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lanes_in_window_matches_direct_test(shape, data):
+    # 2 R^2 + L + 1 < 2^(width-1): every |v - lo| and |v - hi - 1| fits a
+    # lane, with no margin to spare
+    width, R, L = shape
+    coords = st.integers(-R, R)
+    points = data.draw(st.lists(st.tuples(coords, coords), max_size=40))
+    c = data.draw(st.tuples(coords, coords))
+    lo, hi = data.draw(st.integers(-L, L)), data.draw(st.integers(-L, L))
+    total = sum(c[r] * _pack_lanes([x[r] for x in points], width) for r in range(2))
+    expected = sum(
+        1 << t for t, x in enumerate(points) if lo <= c[0] * x[0] + c[1] * x[1] <= hi
+    )
+    assert _lanes_in_window(total, len(points), width, lo, hi) == expected
+
+
 @pytest.mark.parametrize("delta,count,nodes,rejections", [
     (1 / root_bracket_spec(4, 3, 60)[1], 72, 306, {"det": 120, "divisors": 0}),
     (1 / root_bracket_spec(4, 3, 120)[0], 456, 4950, {"det": 4176, "divisors": 0}),
@@ -619,18 +638,6 @@ def test_orthogonal_group_counts():
     assert rep3.count == 24
 
 
-def test_small_cases_match_brute_force():
-    for q, m, l, box in (
-        (I2, 1, 1, 2),
-        (I2, 4, 4, 3),
-        (I2, 9, 9, 4),
-        (I3, 1, 1, 2),
-        (QuadraticForm(((2, 0), (0, 2))), 4, 4, 3),
-    ):
-        rep = enumerate_S_delta(q, m, l, DELTA)
-        assert rep.witnesses == brute_force_S_delta(q, m, l, DELTA, box), (m, l)
-
-
 # Column pairs (j, k) whose entries Q_jj, Q_kk, Q_jk differ must not share
 # pool filters.  The pairs of Q3_MIXED differ in every pair of entries; two
 # pairs of Q3_EQUAL_DIAGONAL differ only in Q_jk; two pairs of
@@ -640,14 +647,34 @@ Q3_EQUAL_DIAGONAL = QuadraticForm(((2, 1, 1), (1, 2, 0), (1, 0, 2)))
 Q3_EQUAL_OFF_DIAGONAL = QuadraticForm(((2, 1, 1), (1, 3, 1), (1, 1, 4)))
 
 
-@pytest.mark.parametrize("q,m,l,delta,prefixes", [
-    (I3, 2, 1, Fraction(2, 5), 306),
-    (I3, 4, 2, Fraction(2, 5), None),
-    (Q3_MIXED, 4, 2, Fraction(1), 196),
-    (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 108),
-    (Q3_EQUAL_OFF_DIAGONAL, 1, 1, Fraction(1), 100),
+def test_small_cases_match_brute_force():
+    # box bounds every entry of a witness.  For the Q3 forms: a column y
+    # meets y^T Q y <= (Q_kk + delta) m^(2/3), and y_i^2 <= y^T Q y (Q^-1)_ii;
+    # Q3_MIXED: y^T Q y < 10.1 and (Q^-1)_ii <= 5/8, so |y_i| <= 2;
+    # Q3_EQUAL_DIAGONAL: y^T Q y <= 5/2 and (Q^-1)_ii <= 1, so |y_i| <= 1;
+    # Q3_EQUAL_OFF_DIAGONAL: y^T Q y <= 5 and (Q^-1)_ii <= 11/17, so |y_i| <= 1
+    for q, m, l, delta, box in (
+        (I2, 1, 1, DELTA, 2),
+        (I2, 4, 4, DELTA, 3),
+        (I2, 9, 9, DELTA, 4),
+        (I3, 1, 1, DELTA, 2),
+        (QuadraticForm(((2, 0), (0, 2))), 4, 4, DELTA, 3),
+        (Q3_MIXED, 4, 2, Fraction(1), 2),
+        (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 1),
+        (Q3_EQUAL_OFF_DIAGONAL, 1, 1, Fraction(1), 1),
+    ):
+        rep = enumerate_S_delta(q, m, l, delta)
+        assert rep.witnesses == brute_force_S_delta(q, m, l, delta, box), (q, m, l)
+
+
+@pytest.mark.parametrize("q,m,l,delta,prefixes,count,rejections", [
+    (I3, 2, 1, Fraction(2, 5), 306, 72, {"det": 120, "divisors": 0}),
+    (I3, 4, 2, Fraction(2, 5), None, 96, {"det": 96, "divisors": 0}),
+    (Q3_MIXED, 4, 2, Fraction(1), 196, 40, {"det": 48, "divisors": 0}),
+    (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 108, 24, {"det": 24, "divisors": 0}),
+    (Q3_EQUAL_OFF_DIAGONAL, 1, 1, Fraction(1), 100, 26, {"det": 38, "divisors": 0}),
 ], ids=["I3-m2-l1", "I3-m4-l2", "Q3mixed-m4-l2", "Q3eqdiag-m1-l1", "Q3eqoff-m1-l1"])
-def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
+def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes, count, rejections):
     """nodes is the number of column prefixes (c_0, ..., c_j) of shell points
     meeting every pairwise Gram window and minor congruence."""
     n = q.n
@@ -681,24 +708,8 @@ def test_nodes_count_exact_prefixes(q, m, l, delta, prefixes):
     assert rep.notes["nodes"] == brute
     if prefixes is not None:
         assert brute == prefixes
-
-
-# box bounds every entry of a witness: a column y meets
-# y^T Q y <= (Q_kk + delta) m^(2/3), and y_i^2 <= y^T Q y (Q^-1)_ii.
-# Q3_MIXED: y^T Q y < 10.1 and (Q^-1)_ii <= 5/8, so |y_i| <= 2.
-# Q3_EQUAL_DIAGONAL: y^T Q y <= 5/2 and (Q^-1)_ii <= 1, so |y_i| <= 1.
-# Q3_EQUAL_OFF_DIAGONAL: y^T Q y <= 5 and (Q^-1)_ii <= 11/17, so |y_i| <= 1.
-@pytest.mark.parametrize("q,m,l,delta,count,nodes,rejections,box", [
-    (Q3_MIXED, 4, 2, 1, 40, 196, {"det": 48, "divisors": 0}, 2),
-    (Q3_EQUAL_DIAGONAL, 1, 1, Fraction(1, 2), 24, 108, {"det": 24, "divisors": 0}, 1),
-    (Q3_EQUAL_OFF_DIAGONAL, 1, 1, 1, 26, 100, {"det": 38, "divisors": 0}, 1),
-], ids=["Q3mixed-m4-l2", "Q3eqdiag-m1-l1", "Q3eqoff-m1-l1"])
-def test_S_delta_where_column_pairs_differ(q, m, l, delta, count, nodes, rejections, box):
-    rep = enumerate_S_delta(q, m, l, delta)
     assert rep.count == count
-    assert rep.notes["nodes"] == nodes
     assert rep.notes["leaf_rejections"] == rejections
-    assert rep.witnesses == brute_force_S_delta(q, m, l, delta, box)
 
 
 def test_S_delta_on_ill_conditioned_equivalent_form():
