@@ -42,30 +42,6 @@ class CosetBudgetError(RuntimeError):
 # -- integer normal forms ----------------------------------------------------
 
 
-def hermite_normal_form(m: Matrix) -> Matrix:
-    """Row-style Hermite form of a nonsingular integer matrix.
-
-    Upper triangular with positive diagonal; entry (i, j) for i < j reduced
-    into [0, h_jj).  Obtained by left multiplication with unimodular
-    matrices only.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    for col in range(n):
-        for r in range(col + 1, n):
-            # Euclidean steps: gcd of the column lands in the pivot slot
-            while a[r][col]:
-                q = a[col][col] // a[r][col]
-                a[col] = [x - q * y for x, y in zip(a[col], a[r])]
-                a[col], a[r] = a[r], a[col]
-        if a[col][col] == 0:
-            raise ValueError("singular matrix")
-        if a[col][col] < 0:
-            a[col] = [-x for x in a[col]]
-    _reduce_above(a)
-    return tuple(tuple(row) for row in a)
-
-
 def _reduce_above(a: list[list[int]]) -> None:
     n = len(a)
     for j in range(n):

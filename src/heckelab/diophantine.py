@@ -1,15 +1,16 @@
 """Counting integer points and integer matrices under quadratic constraints.
 
-The enumeration workhorses are exact.  Quadratic shells are enumerated and
-the linear and Gram-window conditions are tested in integer arithmetic, on
-the integer matrix scale*Q that every QuadraticForm carries.  Floats only
-propose the candidate eigenvalue bounds in eigen_bounds, which are
-certified exactly, so no solution can be misclassified by rounding.  The
-deviation from a scaled isometry involves the (generally irrational) root
-r = det^(2/n), but each condition |G_ij / r - Q_ij| <= delta says that the
-integer scale*G_ij lies in a window whose ends are floors of rational
-multiples of the n-th root of det^2; _gram_window computes them exactly by
-integer n-th roots, so the test needs no approximation of r.
+Every step is exact and no float enters a count.  Quadratic shells are
+enumerated and the linear and Gram-window conditions are tested in integer
+arithmetic, on the integer matrix scale*Q that every QuadraticForm
+carries; the enumeration bounds every coordinate exactly by itself, so no
+solution can be misclassified by rounding and no second search box is
+needed.  The deviation from a scaled isometry involves the (generally
+irrational) root r = det^(2/n), but each condition |G_ij / r - Q_ij| <=
+delta says that the integer scale*G_ij lies in a window whose ends are
+floors of rational multiples of the n-th root of det^2; _gram_window
+computes them exactly by integer n-th roots, so the test needs no
+approximation of r.
 
 Shell points under linear conditions (integer windows g_lo <= v . y <= g_hi)
 are generated, not filtered: the enumeration runs on a unimodular basis in
@@ -116,43 +117,15 @@ class QuadraticForm:
         )
 
     def eigen_bounds(self) -> tuple[Fraction, Fraction]:
-        """Certified rational bounds 0 < lo <= lambda_min, lambda_max <= hi.
+        """Exact rational bounds 0 < lo <= lambda_min, lambda_max <= hi.
 
-        Candidates come from floating-point eigenvalues; the certificates
-        are exact Sylvester checks on Q - lo*I and hi*I - Q.  When an entry
-        or an eigenvalue is beyond float range, the candidates are the exact
-        bounds 1/trace(Q^-1) <= lambda_min and lambda_max <= trace(Q); a
-        lower candidate that rounds to 0 or below is replaced by the former.
+        lo = 1/trace(Q^-1) and hi = trace(Q): a trace of positive
+        eigenvalues bounds the largest of them, and the largest eigenvalue
+        of Q^-1 is 1/lambda_min.
         """
-        import numpy as np
-
         n = self.n
-        try:
-            w = np.linalg.eigvalsh([[float(x) for x in row] for row in self.entries])
-            lo = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
-            hi = Fraction(float(w[-1])).limit_denominator(10**6) * Fraction(17, 16) + 1
-        except (OverflowError, ValueError):  # float() of a huge entry, Fraction(inf or nan)
-            lo, hi = Fraction(0), sum(self.entries[i][i] for i in range(n))
-        if lo <= 0:
-            _, inv = solve(self.entries, [[int(i == j) for j in range(n)] for i in range(n)])
-            lo = 1 / sum(inv[i][i] for i in range(n))
-        while True:
-            shifted = [
-                [self.entries[i][j] - (lo if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            if ldl(shifted) is not None:
-                break
-            lo /= 2
-        while True:
-            shifted = [
-                [(hi if i == j else 0) - self.entries[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            if ldl(shifted) is not None:
-                break
-            hi *= 2
-        return lo, hi
+        _, inv = solve(self.entries, [[int(i == j) for j in range(n)] for i in range(n)])
+        return 1 / sum(inv[i][i] for i in range(n)), sum(self.entries[i][i] for i in range(n))
 
     def digest(self) -> str:
         payload = ";".join(
@@ -234,13 +207,11 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(isqrt(num * den) + 1, den)
 
 
-def lembp_count(
-    P: QuadPoly2,
-    delta,
-    box: int | None = None,
-    min_disc: Fraction = Fraction(1, 100),
-    collect_witnesses: bool = False,
-) -> CountReport:
+# lembp_count refuses a quadratic part with |discriminant| below this floor
+MIN_DISC = Fraction(1, 100)
+
+
+def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountReport:
     """Exact count of integer pairs with |P(x, y)| < delta.
 
     The positive-definite quadratic part confines solutions; the search box
@@ -250,7 +221,7 @@ def lembp_count(
     delta = Fraction(delta)
     if P.a <= 0 or P.discriminant >= 0:
         raise ValueError("quadratic part must be positive definite")
-    if abs(P.discriminant) < min_disc:
+    if abs(P.discriminant) < MIN_DISC:
         raise ValueError("discriminant below configured floor")
     gram = QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c)))
     lam, _ = gram.eigen_bounds()
@@ -258,7 +229,7 @@ def lembp_count(
     lin = abs(P.d) + abs(P.e)
     disc = lin**2 + 4 * lam * (abs(P.f) + delta)
     radius = (lin + _sqrt_upper(disc)) / (2 * lam)
-    bound = int(radius) + 1 if box is None else box
+    bound = int(radius) + 1
     count = 0
     witnesses = [] if collect_witnesses else None
     for x in range(-bound, bound + 1):
@@ -287,19 +258,19 @@ def quadratic_shell_points(
     Q: QuadraticForm,
     lo,
     hi,
-    coord_bound: int | None = None,
     *,
     windows=(),
 ) -> list[tuple[int, ...]]:
-    """All integer vectors with lo <= y^T Q y <= hi, sorted (and every
-    |y_i| <= coord_bound when given, and g_lo <= v . y <= g_hi for every
-    (v, g_lo, g_hi) in windows, v an integer vector).
+    """All integer vectors with lo <= y^T Q y <= hi, sorted (and with
+    g_lo <= v . y <= g_hi for every (v, g_lo, g_hi) in windows, v an
+    integer vector).
 
     Recursive completed-square enumeration (Fincke–Pohst) in integers only.
     With Q = u^T diag(d) u, e_i the lcm of the denominators in row i of u
     and t_i = e_i (u y)_i, W * y^T Q y = sum_i w_i t_i^2 with integers
     w_i = W d_i / e_i^2, so each coordinate's range comes from an integer
-    square root and no point is missed or admitted by rounding.
+    square root and no point is missed or admitted by rounding.  These
+    ranges are the whole search: no coordinate box is needed or applied.
 
     The enumeration runs on a unimodular basis U, y = U z, with z
     enumerated on U^T Q U.  Windows are generated, not filtered: with the
@@ -377,8 +348,6 @@ def quadratic_shell_points(
 
     rec(n - 1, 0)
     out = [tuple(sum(map(mul, row, pt)) for row in U) for pt in out]
-    if coord_bound is not None:
-        out = [y for y in out if all(abs(yi) <= coord_bound for yi in y)]
     if dependent:
         out = [
             y for y in out
@@ -413,8 +382,6 @@ def corollary_count_experiment(
     delta = Fraction(delta)
     err = Fraction(X) ** 2 * delta
     q = [Fraction(v) for v in q]
-    lam_lo, _ = Q.eigen_bounds()
-    box = int(_sqrt_upper((q[0] + err) / lam_lo)) + 1
     windows = [
         (
             [sum(map(mul, row, x)) for row in Q.scaled],
@@ -423,7 +390,7 @@ def corollary_count_experiment(
         )
         for x, v in zip(xs, q[1:])
     ]
-    hits = quadratic_shell_points(Q, q[0] - err, q[0] + err, box, windows=windows)
+    hits = quadratic_shell_points(Q, q[0] - err, q[0] + err, windows=windows)
     return CountReport(
         parameters={
             "kind": "quadratic_linear_count",
@@ -434,7 +401,6 @@ def corollary_count_experiment(
             "q": [str(v) for v in q],
             "xs": [list(x) for x in xs],
             "Q": Q.digest(),
-            "box": box,
         },
         count=len(hits),
         witnesses=[(y,) for y in hits] if collect_witnesses else None,
@@ -570,7 +536,12 @@ def deviation_at_most(gamma: Matrix, Q: QuadraticForm, delta) -> bool:
     lies in its _gram_window; no root is approximated.  Raises ValueError
     when det(gamma) <= 0.
     """
-    windows = _gram_windows(Q, Fraction(delta), matrix_det(gamma))
+    return _gram_in_windows(gamma, Q, _gram_windows(Q, Fraction(delta), matrix_det(gamma)))
+
+
+def _gram_in_windows(gamma: Matrix, Q: QuadraticForm, windows) -> bool:
+    """Whether every scaled Gram entry scale * c_i^T Q c_j (i <= j) of the
+    columns c of gamma lies in windows[scale*Q_ij]."""
     cols = list(zip(*gamma))
     n = Q.n
     for i in range(n):
@@ -727,12 +698,9 @@ def enumerate_S_delta(
     delta = Fraction(delta)
     windows = _gram_windows(Q, delta, m)
     diagonal = {Q.scaled[j][j] for j in range(n)}
-    lam_lo, _ = Q.eigen_bounds()
-    top = Fraction(max(windows[s][1] for s in diagonal), Q.scale)
-    box = int(_sqrt_upper(top / lam_lo)) + 1
     shells = {
         s: quadratic_shell_points(
-            Q, Fraction(windows[s][0], Q.scale), Fraction(windows[s][1], Q.scale), box
+            Q, Fraction(windows[s][0], Q.scale), Fraction(windows[s][1], Q.scale)
         )
         for s in diagonal
     }
@@ -869,7 +837,6 @@ def enumerate_S_delta(
             "l": l,
             "delta": str(delta),
             "Q": Q.digest(),
-            "box": box,
         },
         count=count,
         witnesses=witnesses if collect_witnesses else None,
@@ -880,18 +847,22 @@ def enumerate_S_delta(
 
 
 def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> list[Matrix]:
-    """Unpruned reference search over the full entry box (small cases only)."""
-    n = Q.n
-    delta = Fraction(delta)
+    """Unpruned reference search over the full entry box (small cases only).
+
+    Every matrix of the box is tested directly: its determinant, its
+    determinantal divisors, then its Gram entries against the windows of
+    (Q, delta, m), which are built once.
+    """
+    windows = _gram_windows(Q, Fraction(delta), m)
+    rows = list(product(range(-box, box + 1), repeat=Q.n))
     out = []
-    for flat in product(range(-box, box + 1), repeat=n * n):
-        gamma = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+    for gamma in product(rows, repeat=Q.n):
         if matrix_det(gamma) != m:
             continue
         divs = determinantal_divisors(gamma)
         if divs[0] != 1 or divs[1] != l:
             continue
-        if deviation_at_most(gamma, Q, delta):
+        if _gram_in_windows(gamma, Q, windows):
             out.append(gamma)
     return sorted(out)
 

@@ -21,16 +21,16 @@ from .satake import satake_image, scaled_image
 class HeckeElement:
     """Finite rational linear combination of double-coset operators at one prime.
 
-    Stored partitions have non-negative parts.  central_twist counts powers
-    of the central coset diag(p, ..., p) split off the element; the central
-    coset acts as the identity operator, so the twist only matters for
-    Satake images.
+    Stored partitions have non-negative parts.  Powers of the central coset
+    diag(p, ..., p) are carried by the partitions themselves: adding
+    (k, ..., k) to a partition multiplies its Satake image by
+    p^(-k n(n+1)/2) (x_1...x_n)^k, and reduced() drops them, since the
+    central coset acts as the identity operator.
     """
 
     n: int
     p: int
     terms: dict[Partition, Fraction] = field(default_factory=dict)
-    central_twist: int = 0
 
     def __post_init__(self):
         clean = {}
@@ -57,23 +57,16 @@ class HeckeElement:
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if (self.n, self.p, self.central_twist) != (
-            other.n,
-            other.p,
-            other.central_twist,
-        ):
-            raise ValueError("summands differ in rank, prime or central twist")
+        if (self.n, self.p) != (other.n, other.p):
+            raise ValueError("summands differ in rank or prime")
         out = dict(self.terms)
         for a, c in other.terms.items():
             out[a] = out.get(a, Fraction(0)) + c
-        return HeckeElement(self.n, self.p, out, self.central_twist)
+        return HeckeElement(self.n, self.p, out)
 
     def scale(self, c) -> "HeckeElement":
         c = Fraction(c)
-        return HeckeElement(
-            self.n, self.p, {a: coeff * c for a, coeff in self.terms.items()},
-            self.central_twist,
-        )
+        return HeckeElement(self.n, self.p, {a: coeff * c for a, coeff in self.terms.items()})
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         return self + other.scale(-1)
@@ -81,7 +74,7 @@ class HeckeElement:
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElement)
-            and (self.n, self.p, self.central_twist) == (other.n, other.p, other.central_twist)
+            and (self.n, self.p) == (other.n, other.p)
             and self.terms == other.terms
         )
 
@@ -96,26 +89,21 @@ class HeckeElement:
         for a, c in self.terms.items():
             b = Partition(tuple(x - a[-1] for x in a))
             out[b] = out.get(b, Fraction(0)) + c
-        return HeckeElement(self.n, self.p, out, 0)
+        return HeckeElement(self.n, self.p, out)
 
     def operator_equal(self, other: "HeckeElement") -> bool:
         return self.reduced().terms == other.reduced().terms
 
     def __repr__(self):
         bits = [f"{c}*T{tuple(a)}" for a, c in sorted(self.terms.items())]
-        tw = f" twist={self.central_twist}" if self.central_twist else ""
-        return f"HeckeElement(p={self.p}: " + (" + ".join(bits) or "0") + tw + ")"
+        return f"HeckeElement(p={self.p}: " + (" + ".join(bits) or "0") + ")"
 
 
 def satake_of_element(e: HeckeElement) -> SymPoly:
-    """Satake image: sum of coefficients times images, times the twist monomial."""
+    """Satake image: the sum of coefficients times images."""
     total = SymPoly.zero(e.n)
     for a, c in e.terms.items():
         total = total + satake_image(a, e.p).poly.scale(c)
-    if e.central_twist:
-        tw = e.central_twist
-        mono = SymPoly(e.n, {(tw,) * e.n: Fraction(1)})
-        total = (total * mono).scale(Fraction(e.p) ** (-tw * e.n * (e.n + 1) // 2))
     return total
 
 
@@ -157,7 +145,7 @@ def multiply(e: HeckeElement, f: HeckeElement) -> HeckeElement:
             prod = prod + (img_a * img_b).scale(scale)
     coeffs = _expand_in_scaled_basis(prod, e.p)
     terms = {a: c * pe ** a.v_weight() for a, c in coeffs.items()}
-    return HeckeElement(e.n, e.p, terms, e.central_twist + f.central_twist)
+    return HeckeElement(e.n, e.p, terms)
 
 
 def multiply_generators(a, b, p: int) -> dict[Partition, int]:

@@ -217,17 +217,34 @@ def test_verify_holds_without_assert_statements():
     assert json.loads(proc.stdout)["verdict"] == "PASS"
 
 
+# exact counts on a given form draw nothing at random and fit nothing
+COUNTS_WITHOUT_NUMPY = """
+import sys
+from fractions import Fraction
+from heckelab.diophantine import (
+    QuadPoly2, QuadraticForm, corollary_count_experiment, enumerate_S_delta, lembp_count,
+)
+I4 = QuadraticForm.identity(4)
+assert enumerate_S_delta(I4, 16, 2, Fraction(1, 10**6)).count == 384
+assert corollary_count_experiment(I4, 1, 2, Fraction(1, 4), [(1, 0, 0, 0)], [2, 1]).count == 45
+assert lembp_count(QuadPoly2(1, 0, 1, 0, 0, -25), Fraction(1, 2)).count == 12
+print('numpy' in sys.modules)
+"""
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only by the functions that use it, so commands such
-    # as multiply, cosets and amplifier start without paying for it
+    # numpy is imported only by the functions that use it (seeded draws and
+    # exponent fits), so commands such as multiply, cosets and amplifier,
+    # and the exact counts on a given form, start without paying for it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, heckelab.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for script in ("import sys, heckelab.cli; print('numpy' in sys.modules)",
+                   COUNTS_WITHOUT_NUMPY):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def test_output_file(tmp_path, capsys):

@@ -11,13 +11,41 @@ from heckelab.cosets import (
     determinantal_divisors,
     determinantal_divisors_bruteforce,
     elementary_divisors,
-    hermite_normal_form,
     hermite_reduce_upper,
     matrix_det,
     oracle_multiply,
 )
 
 HADAMARD = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+
+
+def hermite_normal_form(m):
+    """Row-style Hermite form of a nonsingular integer matrix, from scratch:
+    the oracle that hermite_reduce_upper is checked against.
+
+    Upper triangular with positive diagonal; entry (i, j) for i < j reduced
+    into [0, h_jj).  Obtained by left multiplication with unimodular
+    matrices only.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    for col in range(n):
+        for r in range(col + 1, n):
+            # Euclidean steps: gcd of the column lands in the pivot slot
+            while a[r][col]:
+                q = a[col][col] // a[r][col]
+                a[col] = [x - q * y for x, y in zip(a[col], a[r])]
+                a[col], a[r] = a[r], a[col]
+        if a[col][col] == 0:
+            raise ValueError("singular matrix")
+        if a[col][col] < 0:
+            a[col] = [-x for x in a[col]]
+    # column by column, rows above the pivot less multiples of the pivot row
+    for j in range(n):
+        for i in range(j):
+            q = a[i][j] // a[j][j]
+            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+    return tuple(tuple(row) for row in a)
 
 
 # -- normal forms -----------------------------------------------------------------

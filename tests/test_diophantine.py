@@ -98,12 +98,12 @@ def columns_proportional_mod(gamma, l: int) -> bool:
     return True
 
 
-def shell_in_windows_spec(q, lo, hi, coord_bound, windows):
+def shell_in_windows_spec(q, lo, hi, windows):
     """The unconstrained shell filtered by every window: the specification
     of quadratic_shell_points(..., windows=windows)."""
     return [
         y
-        for y in quadratic_shell_points(q, lo, hi, coord_bound)
+        for y in quadratic_shell_points(q, lo, hi)
         if all(g_lo <= sum(a * b for a, b in zip(v, y)) <= g_hi for v, g_lo, g_hi in windows)
     ]
 
@@ -203,7 +203,7 @@ def test_eigen_bounds_certified():
     assert float(lo) <= w[0] + 1e-9 and w[-1] <= float(hi) + 1e-9
 
 
-# lambda_min rounds to 0 in the float candidate: about 1e-7 and 1e-8
+# lambda_min about 1e-7 and 1e-8
 TINY_LAMBDA_MIN_FORMS = [
     ((Fraction(1, 10**7), 0), (0, 1)),
     ((1, -(10**4)), (-(10**4), 10**8 + 1)),
@@ -314,7 +314,6 @@ def test_shell_exact_beyond_float_precision():
     rational_spd_forms(),
     st.fractions(min_value=-2, max_value=8, max_denominator=5),
     st.fractions(min_value=0, max_value=4, max_denominator=5),
-    st.sampled_from([None, 1, 2]),
 )
 @example(  # row 0 of u has denominators 2 and 3, so e_0 = 6
     QuadraticForm(
@@ -322,16 +321,20 @@ def test_shell_exact_beyond_float_precision():
     ),
     Fraction(3),
     Fraction(2),
-    None,
 )
 @settings(max_examples=60, deadline=None)
-def test_shell_rational_form_brute_force(q, lo, width, coord_bound):
+def test_shell_rational_form_brute_force(q, lo, width):
     hi = lo + width
-    pts = quadratic_shell_points(q, lo, hi, coord_bound)
-    lam_lo, _ = q.eigen_bounds()
-    box = isqrt(floor(max(hi, 0) / lam_lo)) + 1
-    if coord_bound is not None:
-        box = min(box, coord_bound)
+    pts = quadratic_shell_points(q, lo, hi)
+    # |y_i|^2 <= y^T Q y / lambda_min, with lambda_min bounded below by a
+    # float estimate that is certified exactly (Q - lam*I positive definite)
+    import numpy as np
+
+    w = np.linalg.eigvalsh([[float(x) for x in row] for row in q.entries])
+    lam = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
+    shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(q.entries)]
+    assert ldl(shifted) is not None
+    box = isqrt(floor(max(hi, 0) / lam)) + 1
     brute = [
         y
         for y in product(range(-box, box + 1), repeat=q.n)
@@ -348,12 +351,11 @@ LARGE_FORMS = [QuadraticForm(((2**60 + 1, 2**30), (2**30, 1))), QuadraticForm(HU
     st.integers(0, 3),
     st.fractions(min_value=-2, max_value=6, max_denominator=5),
     st.fractions(min_value=0, max_value=6, max_denominator=5),
-    st.sampled_from([None, 1, 2]),
     st.sampled_from([1, 2**60 + 3]),
     st.data(),
 )
 @settings(max_examples=150, deadline=None)
-def test_shell_windows_match_filtered_shell(kind, lo, width, coord_bound, big, data):
+def test_shell_windows_match_filtered_shell(kind, lo, width, big, data):
     q = data.draw(st.sampled_from(LARGE_FORMS) if kind == 0 else rational_spd_forms())
     n, hi = q.n, lo + width
     pts = quadratic_shell_points(q, lo, hi)
@@ -371,8 +373,8 @@ def test_shell_windows_match_filtered_shell(kind, lo, width, coord_bound, big, d
         g_lo = centre - big * data.draw(st.integers(-1, 3))
         g_hi = centre + big * data.draw(st.integers(-1, 3))
         windows.append((v, g_lo, g_hi))
-    got = quadratic_shell_points(q, lo, hi, coord_bound, windows=windows)
-    assert got == shell_in_windows_spec(q, lo, hi, coord_bound, windows)
+    got = quadratic_shell_points(q, lo, hi, windows=windows)
+    assert got == shell_in_windows_spec(q, lo, hi, windows)
 
 
 @pytest.mark.parametrize("windows,expected", [
@@ -383,7 +385,7 @@ def test_shell_windows_match_filtered_shell(kind, lo, width, coord_bound, big, d
 ], ids=["dependent", "inconsistent", "zero-row-empty", "zero-row-kept"])
 def test_shell_windows_dependent_and_inconsistent(windows, expected):
     got = quadratic_shell_points(I3, 0, 3, windows=windows)
-    assert got == shell_in_windows_spec(I3, 0, 3, None, windows)
+    assert got == shell_in_windows_spec(I3, 0, 3, windows)
     assert len(got) == expected
 
 

@@ -37,9 +37,9 @@ def test_satake_of_element_matches_oracle_square():
 
 
 def test_central_twist_image():
-    e = HeckeElement.identity(2, 3)
-    twisted = HeckeElement(2, 3, dict(e.terms), central_twist=1)
-    img = satake_of_element(twisted)
+    # the central coset diag(p, p) is the partition (1, 1): its image is
+    # p^-3 x_1 x_2, the identity's image 1 shifted by one central power
+    img = satake_of_element(HeckeElement.generator((1, 1), 3))
     assert img == SymPoly(2, {(1, 1): Fraction(1, 27)})
 
 
