@@ -199,12 +199,16 @@ class QuadPoly2:
         return QuadPoly2(self.c, self.b, self.a, self.e, self.d, self.f)
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(x), x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    return Fraction(isqrt(num * den) + 1, den)
+def _square_below(k: Fraction, h: Fraction, bound: Fraction) -> range:
+    """The integers z with (k z + h)^2 < bound, for rational k > 0."""
+    scale = lcm(k.denominator, h.denominator)
+    kz, hz = int(k * scale), int(h * scale)
+    # an integer square is below bound * scale^2 iff it is at most top
+    top = ceil(bound * scale * scale) - 1
+    if top < 0:
+        return range(0)
+    s = isqrt(top)
+    return range(-((s + hz) // kz), (s - hz) // kz + 1)
 
 
 # lembp_count refuses a quadratic part with |discriminant| below this floor
@@ -214,8 +218,13 @@ MIN_DISC = Fraction(1, 100)
 def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountReport:
     """Exact count of integer pairs with |P(x, y)| < delta.
 
-    The positive-definite quadratic part confines solutions; the search box
-    is certified from a rational lower bound on its smallest eigenvalue.
+    Completing the square on the positive-definite quadratic part bounds
+    each coordinate exactly: P(x, y) < delta has a real solution y iff
+    (D x - B)^2 < B^2 + D C, with D = 4ac - b^2, B = be - 2cd and
+    C = e^2 - 4c(f - delta), and then y satisfies
+    (2c y + bx + e)^2 < (bx + e)^2 - 4c(ax^2 + dx + f - delta).  Every pair
+    in those ranges is tested exactly.  The echoed box is the largest |x|
+    or |y| tested, 0 when none is.
     """
     t0 = time.perf_counter()
     delta = Fraction(delta)
@@ -223,17 +232,17 @@ def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountRe
         raise ValueError("quadratic part must be positive definite")
     if abs(P.discriminant) < MIN_DISC:
         raise ValueError("discriminant below configured floor")
-    gram = QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c)))
-    lam, _ = gram.eigen_bounds()
-    # lam*(x^2+y^2) <= quad(x,y) = P - dx - ey - f < delta + (|d|+|e|)*R + |f|
-    lin = abs(P.d) + abs(P.e)
-    disc = lin**2 + 4 * lam * (abs(P.f) + delta)
-    radius = (lin + _sqrt_upper(disc)) / (2 * lam)
-    bound = int(radius) + 1
+    a, b, c, d, e, f = P.a, P.b, P.c, P.d, P.e, P.f
+    D, B, C = -P.discriminant, b * e - 2 * c * d, e * e - 4 * c * (f - delta)
     count = 0
+    box = 0
     witnesses = [] if collect_witnesses else None
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
+    for x in _square_below(D, -B, B * B + D * C):
+        lin = b * x + e
+        ys = _square_below(2 * c, lin, lin * lin - 4 * c * (a * x * x + d * x + f - delta))
+        if ys:
+            box = max(box, abs(x), -ys[0], ys[-1])
+        for y in ys:
             if abs(P(x, y)) < delta:
                 count += 1
                 if collect_witnesses:
@@ -243,7 +252,7 @@ def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountRe
             "kind": "binary_quadratic",
             "coefficients": [str(getattr(P, k)) for k in "abcdef"],
             "delta": str(delta),
-            "box": bound,
+            "box": box,
         },
         count=count,
         witnesses=witnesses,
@@ -851,19 +860,28 @@ def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> li
 
     Every matrix of the box is tested directly: its determinant, its
     determinantal divisors, then its Gram entries against the windows of
-    (Q, delta, m), which are built once.
+    (Q, delta, m), which are built once.  The determinant is the Laplace
+    expansion along the last row, whose cofactors are computed once per
+    choice of the first n - 1 rows.
     """
+    n = Q.n
     windows = _gram_windows(Q, Fraction(delta), m)
-    rows = list(product(range(-box, box + 1), repeat=Q.n))
+    rows = list(product(range(-box, box + 1), repeat=n))
     out = []
-    for gamma in product(rows, repeat=Q.n):
-        if matrix_det(gamma) != m:
-            continue
-        divs = determinantal_divisors(gamma)
-        if divs[0] != 1 or divs[1] != l:
-            continue
-        if _gram_in_windows(gamma, Q, windows):
-            out.append(gamma)
+    for prefix in product(rows, repeat=n - 1):
+        cof = [
+            (-1) ** (n - 1 + j) * matrix_det([row[:j] + row[j + 1 :] for row in prefix])
+            for j in range(n)
+        ]
+        for last in rows:
+            if sum(map(mul, cof, last)) != m:
+                continue
+            gamma = prefix + (last,)
+            divs = determinantal_divisors(gamma)
+            if divs[0] != 1 or divs[1] != l:
+                continue
+            if _gram_in_windows(gamma, Q, windows):
+                out.append(gamma)
     return sorted(out)
 
 

@@ -107,27 +107,38 @@ def satake_of_element(e: HeckeElement) -> SymPoly:
     return total
 
 
+def _peel_order(key: tuple[int, ...]) -> tuple:
+    return sum(key), key
+
+
 def _expand_in_scaled_basis(f: SymPoly, p: int) -> dict[Partition, Fraction]:
     """Write a symmetric polynomial as a combination of scaled Satake images.
 
-    Peels support keys in descending (weight, lex) order; the unit leading
-    coefficients of the scaled images make every pivot exact.  Raises if the
-    residual fails to shrink, which would signal a support-condition bug.
+    Peels support keys in descending (weight, lex) order on one residual
+    dict, subtracting c times each scaled image entry by entry; the unit
+    leading coefficients of the scaled images make every pivot exact.
+    Raises if the residual fails to shrink, which would signal a
+    support-condition bug.
     """
     out: dict[Partition, Fraction] = {}
-    residual = f
-    while residual.terms:
-        key = max(residual.terms, key=lambda k: (sum(k), k))
+    residual = dict(f.terms)
+    last = None
+    while residual:
+        key = max(residual, key=_peel_order)
+        if last is not None and _peel_order(key) >= _peel_order(last):
+            raise ArithmeticError("basis expansion failed to make progress")
         if key[-1] < 0:
             raise ArithmeticError(f"cannot expand: negative exponent at {key}")
-        c = residual.terms[key]
+        c = residual[key]
         a = Partition(key)
         out[a] = c
-        residual = residual - scaled_image(a, p).scale(c)
-        if residual.terms:
-            nxt = max(residual.terms, key=lambda k: (sum(k), k))
-            if (sum(nxt), nxt) >= (sum(key), key):
-                raise ArithmeticError("basis expansion failed to make progress")
+        for k, v in scaled_image(a, p).terms.items():
+            r = residual.get(k, 0) - c * v
+            if r:
+                residual[k] = r
+            else:
+                residual.pop(k, None)
+        last = key
     return out
 
 

@@ -3,7 +3,9 @@
 A partition here is a non-increasing tuple of n non-negative integers
 (trailing zeros allowed, so the rank n is part of the data).  tableau_sum,
 the weighted horizontal-strip recursion of Macdonald III (5.8'), (5.11'),
-gives Kostka numbers, Schur polynomials and Satake images.  The module
+gives Kostka numbers, Schur polynomials and Satake images; the recursion
+builds each sum once as an integer polynomial in t and evaluates it at
+each t asked for.  The module
 also builds the two matrices attached to the set of weight-n partitions:
 the contingency-count matrix D, whose (a', a) entry counts non-negative
 integer matrices with row sums a' and column sums a, and the Kostka
@@ -13,6 +15,7 @@ matrix A with D = A^T A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import matrix_det
@@ -119,39 +122,86 @@ def tableau_sum(shape: Partition, content: Partition, t):
     The coefficient of m_content in the Hall-Littlewood polynomial
     P_shape(x; t): Macdonald, Symmetric Functions and Hall Polynomials,
     III (5.11').  Zero unless the content is dominated by the shape.
+
+    The sum is an integer polynomial in t, built once per (shape, content)
+    by _tableau_sum and evaluated here: a Fraction t = u/v gives the single
+    Fraction sum_k c_k u^k v^(d-k) / v^d, an int t an int by Horner's rule
+    (so t = 0 gives the Kostka number), and any other number Horner's rule
+    in its own arithmetic.
     """
     shape = Partition(shape)
     content = Partition(content)
     if shape.weight != content.weight:
         raise ValueError("shape and content must have equal weight")
-    return _tableau_sum(tuple(x for x in shape if x), tuple(x for x in content if x), t)
+    coeffs = _tableau_sum(tuple(x for x in shape if x), tuple(x for x in content if x))
+    if isinstance(t, Fraction):
+        u, v = t.numerator, t.denominator
+        d = len(coeffs) - 1
+        return Fraction(sum(c * u**k * v ** (d - k) for k, c in enumerate(coeffs)), v**max(d, 0))
+    value = 0
+    for c in reversed(coeffs):
+        value = value * t + c
+    return value
 
 
-@lru_cache(maxsize=None, typed=True)  # t = 0 and Fraction(0) must not share results
-def _tableau_sum(shape: tuple[int, ...], content: tuple[int, ...], t):
-    """Peel the cells holding the largest entry, a horizontal strip, and recurse."""
+@lru_cache(maxsize=None)
+def _tableau_sum(shape: tuple[int, ...], content: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients (c_0, ..., c_d) of the tableau sum as a polynomial in t,
+    with c_d != 0, or () for the zero sum.
+
+    Peels the cells holding the largest entry, a horizontal strip, and
+    recurses; nothing depends on t, so one table serves every prime.
+    """
     if not content:
-        return 1 if not shape else 0
+        return () if shape else (1,)
     if not dominance_leq(_pad(content, len(shape)), _pad(shape, len(content))):
-        return 0
+        return ()
     last = content[-1]
     rest = content[:-1]
-    total = 0
+    total: tuple[int, ...] = ()
     for smaller in _horizontal_strips(shape, last):
-        total += _strip_weight(shape, smaller, t) * _tableau_sum(smaller, rest, t)
+        term = _poly_mul(_strip_weight(shape, smaller), _tableau_sum(smaller, rest))
+        total = _poly_add(total, term)
     return total
 
 
-def _strip_weight(shape: tuple[int, ...], smaller: tuple[int, ...], t):
-    """psi_{shape/smaller}(t) of Macdonald III (5.8'): the product of (1 - t^{m_j(smaller)})
-    over the j >= 1 where the strip has no cell in column j and one in column j + 1."""
+def _strip_weight(shape: tuple[int, ...], smaller: tuple[int, ...]) -> tuple[int, ...]:
+    """psi_{shape/smaller}(t) of Macdonald III (5.8'), as coefficients in t: the
+    product of (1 - t^{m_j(smaller)}) over the j >= 1 where the strip has no
+    cell in column j and one in column j + 1."""
     cols = {j for lam, mu in zip(shape, _pad(smaller, len(shape)))
             for j in range(mu + 1, lam + 1)}
-    weight = 1
+    weight: tuple[int, ...] = (1,)
     for j in cols:
         if j > 1 and j - 1 not in cols:
-            weight *= 1 - t ** smaller.count(j - 1)
+            m = smaller.count(j - 1)
+            factor = [1] + [0] * m
+            factor[m] -= 1  # 1 - t^m, which vanishes at m = 0
+            weight = _poly_mul(weight, _trim(factor))
     return weight
+
+
+def _trim(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _poly_add(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    if len(f) < len(g):
+        f, g = g, f
+    return _trim([a + b for a, b in zip(f, g)] + list(f[len(g):]))
+
+
+def _poly_mul(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _trim(out)
 
 
 def _pad(t: tuple[int, ...], n: int) -> tuple[int, ...]:

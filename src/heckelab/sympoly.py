@@ -5,7 +5,13 @@ by the orbit's non-increasing representative; coefficients are Fractions.
 The module supplies the monomial symmetric basis, exact multiplication,
 and the Hall-Littlewood polynomials P_a(x; t) by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'), with
-strip weights (5.8'); at t = 0 they are the Schur polynomials.  The alternant
+strip weights (5.8'); at t = 0 they are the Schur polynomials.
+
+A product is a sum over pairs of orbit keys of ca * cb times the integer
+structure constants of m_a * m_b = sum_c N_c m_c (Macdonald I §2).  Those
+constants depend only on the keys, never on the coefficients or on a
+prime, so _monomial_product builds each key pair's table once, by one walk
+over an orbit, and every later product reuses it.  The alternant
 
     sum over sigma of  sigma( x^a * prod_{i<j} (x_i - t x_j) / (x_i - x_j) ),
 
@@ -16,9 +22,12 @@ Vandermonde factor by factor with a zero-remainder check at every step.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
+from operator import add
 
 from .partitions import Partition, dominance_leq, enumerate_partitions, tableau_sum
 
@@ -27,6 +36,38 @@ from .partitions import Partition, dominance_leq, enumerate_partitions, tableau_
 def _orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Distinct permutations of an exponent vector."""
     return tuple(sorted(set(permutations(key))))
+
+
+def _orbit_size(key: tuple[int, ...]) -> int:
+    """Number of distinct permutations of an exponent vector: n! / prod mult!."""
+    size = factorial(len(key))
+    for mult in Counter(key).values():
+        size //= factorial(mult)
+    return size
+
+
+@lru_cache(maxsize=None)
+def _monomial_product(
+    key_a: tuple[int, ...], key_b: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Structure constants of m_a * m_b = sum_c N_c m_c, as ((c, N_c), ...).
+
+    S_n acts diagonally on the pairs (alpha, beta) in O(a) x O(b), so the
+    pairs summing into O(c) number |O(a)| #{beta in O(b) : sort(a + beta) = c},
+    and each element of O(c) receives N_c = that count / |O(c)| of them.
+    The exponents may be negative; nothing depends on the coefficient ring.
+    """
+    tally = Counter(
+        tuple(sorted(map(add, key_a, beta), reverse=True)) for beta in _orbit(key_b)
+    )
+    size_a = _orbit_size(key_a)
+    out = []
+    for key, hits in sorted(tally.items()):
+        count, rem = divmod(size_a * hits, _orbit_size(key))
+        if rem:
+            raise ArithmeticError(f"orbit count of {key} in m{key_a} * m{key_b} is not integral")
+        out.append((key, count))
+    return tuple(out)
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -134,19 +175,15 @@ class SymPoly:
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         if self.n != other.n:
             raise ValueError("factors differ in the number of variables")
-        dense: dict[tuple[int, ...], Fraction] = {}
-        right = [(key, coeff) for key, coeff in other.terms.items()]
+        out: dict[tuple[int, ...], Fraction] = {}
+        right = list(other.terms.items())
         for key_a, ca in self.terms.items():
-            for mono_a in _orbit(key_a):
-                for key_b, cb in right:
-                    c = ca * cb
-                    for mono_b in _orbit(key_b):
-                        e = tuple(x + y for x, y in zip(mono_a, mono_b))
-                        if e == tuple(sorted(e, reverse=True)):
-                            dense[e] = dense.get(e, Fraction(0)) + c
-        out = {k: c for k, c in dense.items() if c}
+            for key_b, cb in right:
+                c = ca * cb
+                for key, count in _monomial_product(key_a, key_b):
+                    out[key] = out.get(key, 0) + c * count
         p = SymPoly(self.n)
-        p.terms = out
+        p.terms = {k: c for k, c in out.items() if c}
         return p
 
     # -- views -------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from heckelab import partitions, satake, sympoly
 from heckelab.partitions import Partition
 from heckelab.hecke import HeckeElement, multiply, upper_generator
 from heckelab.amplifier import (
@@ -102,6 +103,18 @@ def test_identity_lhs_reduces_to_identity_operator():
     assert lhs.reduced() == HeckeElement.identity(n, p).scale(
         Fraction(p) ** (n * (n + 1) // 2)
     )
+
+
+def test_second_prime_reuses_the_prime_free_tables():
+    # the monomial structure constants and the tableau polynomials depend
+    # only on the partitions, so a second prime builds no new entry
+    tables = (sympoly._monomial_product, partitions._tableau_sum)
+    for cache in tables + (satake.satake_image,):
+        cache.cache_clear()
+    amplifier_coefficients(4, 2)
+    misses = [cache.cache_info().misses for cache in tables]
+    assert amplifier_coefficients(4, 3).identity_ok
+    assert [cache.cache_info().misses for cache in tables] == misses
 
 
 def test_boundedness_across_prime_ladder():

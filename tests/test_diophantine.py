@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
 from heckelab.diophantine import (
+    MIN_DISC,
     QuadPoly2,
     QuadraticForm,
     _extend_minors,
@@ -261,6 +262,36 @@ def test_lembp_hexagonal_units():
 def test_lembp_swap_symmetry():
     p = QuadPoly2(2, 1, 3, Fraction(1, 2), -1, -20)
     assert lembp_count(p, Fraction(3, 4)).count == lembp_count(p.swapped(), Fraction(3, 4)).count
+
+
+def lembp_scan_spec(P, delta):
+    """Witnesses of |P| < delta from a scan of the square [-R, R]^2, with R
+    from the trace bound lo <= lambda_min on the quadratic part:
+    lo (x^2 + y^2) <= P - dx - ey - f < delta + (|d| + |e|) R + |f|."""
+    lo, _ = QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c))).eigen_bounds()
+    lin = abs(P.d) + abs(P.e)
+    radius = (lin + Fraction(isqrt(ceil(lin**2 + 4 * lo * (abs(P.f) + delta))) + 1)) / (2 * lo)
+    R = floor(radius) + 1
+    return [((x, y),) for x in range(-R, R + 1) for y in range(-R, R + 1) if abs(P(x, y)) < delta]
+
+
+@given(
+    st.integers(1, 4), st.integers(-3, 3), st.integers(1, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-40, 10), st.integers(1, 3)),
+    st.sampled_from((Fraction(1, 2), Fraction(3, 4), Fraction(4))),
+)
+# x^2 < 25 + 1/16 puts (4x)^2 one below the bound 401 at x = +-5
+@example(1, 0, 1, Fraction(0), Fraction(0), Fraction(-25), Fraction(1, 16))
+@settings(max_examples=40, deadline=None)
+def test_lembp_ranges_keep_every_witness(a, b, c, d, e, f, delta):
+    P = QuadPoly2(a, b, c, d, e, f)
+    assume(P.discriminant <= -MIN_DISC)
+    rep = lembp_count(P, delta, collect_witnesses=True)
+    assert rep.witnesses == lembp_scan_spec(P, delta)
+    assert rep.count == len(rep.witnesses)
+    assert all(max(abs(x), abs(y)) <= rep.parameters["box"] for ((x, y),) in rep.witnesses)
 
 
 def test_lembp_rejects_indefinite():

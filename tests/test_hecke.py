@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import hecke
 from heckelab.partitions import Partition, enumerate_partitions
 from heckelab.hecke import (
     HeckeElement,
@@ -34,6 +35,24 @@ def test_satake_of_element_matches_oracle_square():
     lhs = satake_of_element(e)
     gen = satake_of_element(HeckeElement.generator((1, 0), p))
     assert lhs == gen * gen
+
+
+def test_expansion_rejects_negative_exponent():
+    with pytest.raises(ArithmeticError, match="negative exponent"):
+        hecke._expand_in_scaled_basis(SymPoly(2, {(0, -1): Fraction(1)}), 3)
+
+
+def test_expansion_detects_a_pivot_that_does_not_clear(monkeypatch):
+    # a leading coefficient of 2 leaves -c at the pivot after subtracting
+    true_image = hecke.scaled_image
+
+    def image_without_unit_lead(a, p):
+        img = true_image(a, p)
+        return SymPoly(img.n, {**img.terms, tuple(a): Fraction(2)})
+
+    monkeypatch.setattr(hecke, "scaled_image", image_without_unit_lead)
+    with pytest.raises(ArithmeticError, match="failed to make progress"):
+        hecke._expand_in_scaled_basis(monomial_symmetric(Partition((1, 0))), 3)
 
 
 def test_central_twist_image():

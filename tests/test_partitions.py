@@ -15,6 +15,7 @@ from heckelab.partitions import (
     enumerate_partitions,
     kostka_matrix,
     kostka_number,
+    tableau_sum,
     verify_cholesky,
     weight_partitions,
 )
@@ -139,6 +140,58 @@ def test_kostka_dominance_support():
             for content in parts:
                 if not dominance_leq(content, shape):
                     assert kostka_number(shape, content) == 0
+
+
+# -- tableau sums as polynomials in t --------------------------------------------
+
+
+def strip_weight_spec(shape, smaller, t):
+    """psi_{shape/smaller}(t) of Macdonald III (5.8') at t: the product of
+    (1 - t^{m_j(smaller)}) over the j >= 1 where the strip has no cell in
+    column j and one in column j + 1 (smaller padded to len(shape))."""
+    cols = {j for lam, mu in zip(shape, smaller) for j in range(mu + 1, lam + 1)}
+    weight = 1
+    for j in cols:
+        if j > 1 and j - 1 not in cols:
+            weight *= 1 - t ** smaller.count(j - 1)
+    return weight
+
+
+def tableau_sum_spec(shape, content, t):
+    """The tableau sum of III (5.11') in t's own arithmetic: peel the
+    horizontal strip of the largest entry, weight it at t, and recurse."""
+    shape = tuple(x for x in shape if x)
+    content = tuple(x for x in content if x)
+    if not content:
+        return 1 if not shape else 0
+    below = shape[1:] + (0,)
+    total = 0
+    for smaller in product(*(range(lo, hi + 1) for lo, hi in zip(below, shape))):
+        if sum(shape) - sum(smaller) == content[-1]:
+            total += strip_weight_spec(shape, smaller, t) * tableau_sum_spec(
+                smaller, content[:-1], t
+            )
+    return total
+
+
+T_VALUES = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.sampled_from((2, 3, 5, 7, 101)).map(lambda p: Fraction(1, p)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 9)).filter(lambda t: t.numerator != 1),
+)
+
+
+@given(st.integers(1, 5), st.integers(0, 6), T_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_tableau_sum_matches_fraction_recursion(n, weight, t):
+    parts = enumerate_partitions(n, weight)
+    for shape in parts:
+        for content in parts:
+            value = tableau_sum(shape, content, t)
+            assert value == tableau_sum_spec(shape, content, t), (shape, content, t)
+            if type(t) is int:
+                assert type(value) is int
 
 
 # -- contingency counts ------------------------------------------------------------

@@ -1,9 +1,10 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckelab import partitions
@@ -62,6 +63,42 @@ def test_multiply_commutative_and_symmetric(a, b, rnd):
     perm = list(range(a.n))
     rnd.shuffle(perm)
     assert apply_permutation(dense, tuple(perm)) == dense
+
+
+def dense_product_spec(f, g):
+    """Product of the expanded (dense Laurent) polynomials, monomial by
+    monomial, collapsed back to orbit storage."""
+    dense = {}
+    for ka, ca in f.expanded().items():
+        for kb, cb in g.expanded().items():
+            k = tuple(map(add, ka, kb))
+            dense[k] = dense.get(k, 0) + ca * cb
+    return SymPoly.from_expanded(f.n, {k: c for k, c in dense.items() if c})
+
+
+@st.composite
+def laurent_pairs(draw):
+    n = draw(st.integers(1, 5))
+    keys = st.lists(st.integers(-2, 4), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    )
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    polys = st.dictionaries(keys, coeffs, max_size=3).map(lambda d: SymPoly(n, d))
+    return draw(polys), draw(polys)
+
+
+REPEATED_PARTS = (
+    SymPoly(4, {(2, 2, 0, 0): Fraction(1), (1, 1, -1, -1): Fraction(-3, 2)}),
+    SymPoly(4, {(3, 3, 3, -2): Fraction(2), (1, 1, 0, 0): Fraction(1), (0, 0, 0, 0): Fraction(5)}),
+)
+
+
+@given(laurent_pairs())
+@example(REPEATED_PARTS)
+@settings(max_examples=40, deadline=None)
+def test_multiply_matches_dense_laurent_spec(pair):
+    f, g = pair
+    assert f * g == dense_product_spec(f, g)
 
 
 def test_multiply_associative():
