@@ -37,10 +37,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_BUDGET = 3
 
 
-class UsageError(Exception):
-    """An argument value the computation rejected; main reports it as a usage error."""
-
-
 def _parse_partition(text: str) -> Partition:
     return Partition(int(x) for x in text.split(","))
 
@@ -214,10 +210,7 @@ def cmd_lem2(args) -> int:
 
 
 def cmd_count(args) -> int:
-    try:
-        rep = _count_report(args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rep = _count_report(args)
     status = EXIT_OK if rep.complete else EXIT_BUDGET
     payload = json.loads(rep.to_json(include_timing=args.timings))
     ladder_rows = rep.notes.get("ladder")
@@ -297,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget", type=int,
         default=DEFAULT_BUDGET,
-        help="enumeration budget (default from HECKELAB_BUDGET)",
+        help=f"enumeration budget (default {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -367,7 +360,9 @@ def main(argv=None) -> int:
             parser.error(f"--mode {args.mode} needs {' and '.join(missing)}")
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
+        # a value the computation rejected is a usage error (exit 2); a
+        # failed check raises ArithmeticError and still ends the run (exit 1)
         parser.error(str(exc))
     except CosetBudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")

@@ -7,7 +7,10 @@ of its column.  Enumerating all Hermite forms with determinant p^{|a|} once
 and grouping them by type (elementary divisors) gives a complete,
 duplicate-free list for every a of that weight.  At determinant ±p^w every
 divisor is a power of p, so types are found modulo p^{w+1}, by pivoting on
-entries of least p-adic valuation, with no Euclidean loop.
+entries of least p-adic valuation, with no Euclidean loop.  Each normal
+form has one routine here: hermite_reduce_upper for Hermite forms, and
+elementary_divisors, which reads the Smith form of any small nonsingular
+matrix from its definition, the gcds of its minors.
 
 The structure constants of a product of two operators are counted for one
 fixed target per class: the coefficient of the class c in T_a·T_b is the
@@ -27,7 +30,6 @@ whole group, and only the groups that pass are Hermite-reduced.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -38,7 +40,7 @@ from .partitions import Partition, enumerate_partitions
 
 Matrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_BUDGET = int(os.environ.get("HECKELAB_BUDGET", 10**6))
+DEFAULT_BUDGET = 10**6
 
 
 class CosetBudgetError(RuntimeError):
@@ -48,7 +50,9 @@ class CosetBudgetError(RuntimeError):
 # -- integer normal forms ----------------------------------------------------
 
 
-def _reduce_above(a: list[list[int]]) -> None:
+def hermite_reduce_upper(m: Matrix) -> Matrix:
+    """Hermite form of an already upper-triangular matrix with positive diagonal."""
+    a = [list(row) for row in m]
     n = len(a)
     for j in range(n):
         d = a[j][j]
@@ -57,79 +61,11 @@ def _reduce_above(a: list[list[int]]) -> None:
             if q:
                 for k in range(j, n):
                     a[i][k] -= q * a[j][k]
-
-
-def hermite_reduce_upper(m: Matrix) -> Matrix:
-    """Hermite form of an already upper-triangular matrix with positive diagonal."""
-    a = [list(row) for row in m]
-    _reduce_above(a)
     return tuple(tuple(row) for row in a)
 
 
-def elementary_divisors(m: Matrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form, each entry dividing the next."""
-    a = [list(row) for row in m]
-    n = len(a)
-    divisors = []
-    for top in range(n):
-        while True:
-            # move the smallest nonzero entry of the submatrix to the pivot slot
-            best = None
-            for r in range(top, n):
-                for c in range(top, n):
-                    if a[r][c] and (
-                        best is None or abs(a[r][c]) < abs(a[best[0]][best[1]])
-                    ):
-                        best = (r, c)
-            if best is None:
-                raise ValueError("singular matrix")
-            bi, bj = best
-            a[top], a[bi] = a[bi], a[top]
-            for row in a:
-                row[top], row[bj] = row[bj], row[top]
-            d = a[top][top]
-            dirty = False
-            for r in range(top + 1, n):
-                q = a[r][top] // d
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[top])]
-                if a[r][top]:
-                    dirty = True
-            for c in range(top + 1, n):
-                q = a[top][c] // d
-                if q:
-                    for row in a:
-                        row[c] -= q * row[top]
-                if a[top][c]:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry; if not, mix that row in
-            bad_row = None
-            for r in range(top + 1, n):
-                if any(x % d for x in a[r][top + 1 :]):
-                    bad_row = r
-                    break
-            if bad_row is None:
-                break
-            a[top] = [x + y for x, y in zip(a[top], a[bad_row])]
-        divisors.append(abs(a[top][top]))
-    return tuple(divisors)
-
-
-def determinantal_divisors(m: Matrix) -> tuple[int, ...]:
-    """Greatest common divisors of the j-by-j minors, via the Smith form."""
-    divs = elementary_divisors(m)
-    out = []
-    acc = 1
-    for d in divs:
-        acc *= d
-        out.append(acc)
-    return tuple(out)
-
-
 def determinantal_divisors_bruteforce(m: Matrix) -> tuple[int, ...]:
-    """Direct gcd over all j-by-j minors; cross-check for small n."""
+    """Determinantal divisors D_1, ..., D_n: the gcd of all j-by-j minors, for each j."""
     n = len(m)
     out = []
     for size in range(1, n + 1):
@@ -142,6 +78,18 @@ def determinantal_divisors_bruteforce(m: Matrix) -> tuple[int, ...]:
             raise ValueError("singular matrix")
         out.append(g)
     return tuple(out)
+
+
+def elementary_divisors(m: Matrix) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form, each entry dividing the next.
+
+    Read from the definition: the k-th divisor is D_k / D_(k−1), the
+    quotient of the gcds of the k-by-k and (k−1)-by-(k−1) minors.  That
+    evaluates C(2n, n) − 1 minors (251 at n = 5), so it serves small n
+    only; raises ValueError on a singular matrix.
+    """
+    dets = (1, *determinantal_divisors_bruteforce(m))
+    return tuple(b // a for a, b in zip(dets, dets[1:]))
 
 
 def _p_local_type(m: Matrix, p: int, w: int) -> tuple[int, ...]:

@@ -45,7 +45,6 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
-from .cosets import determinantal_divisors
 from .linalg import column_echelon, ldl, lll, matrix_det
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -92,8 +91,8 @@ class QuadraticForm:
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
 
     @classmethod
-    def random_spd(cls, n: int, seed: int, max_condition: float = 16.0) -> "QuadraticForm":
-        """Seed-deterministic integer SPD form with bounded condition number."""
+    def random_spd(cls, n: int, seed: int) -> "QuadraticForm":
+        """Seed-deterministic integer SPD form with condition number at most 16."""
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -101,7 +100,7 @@ class QuadraticForm:
             b = rng.integers(-2, 3, size=(n, n))
             q = b.T @ b + np.eye(n, dtype=int) * int(rng.integers(1, 4))
             w = np.linalg.eigvalsh(q.astype(float))
-            if w[0] > 0 and w[-1] / w[0] <= max_condition:
+            if w[0] > 0 and w[-1] / w[0] <= 16:
                 return cls(tuple(tuple(Fraction(int(x)) for x in row) for row in q))
 
     def apply(self, x, y) -> Fraction:
@@ -437,6 +436,10 @@ def corollary_count_ladder(
     """
     import numpy as np
 
+    if not 0 <= k <= n - 2:
+        raise ValueError("need 0 <= k <= n - 2")
+    if any(X < 1 for X in Xs):
+        raise ValueError("every ladder size X must be at least 1")
     t0 = time.perf_counter()
     Q = QuadraticForm.random_spd(n, seed) if Q is None else Q
     rng = np.random.default_rng(seed + 1)
@@ -848,10 +851,11 @@ def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> li
     """Unpruned reference search over the full entry box (small cases only).
 
     Every matrix of the box is tested directly: its determinant, its
-    determinantal divisors, then its Gram entries against the windows of
-    (Q, delta, m), which are built once.  The determinant is the Laplace
-    expansion along the last row, whose cofactors are computed once per
-    choice of the first n - 1 rows.
+    determinantal divisors from their definition (D_1 = 1 as the gcd of the
+    entries, D_2 = l as the gcd of every 2-by-2 minor), then its Gram
+    entries against the windows of (Q, delta, m), which are built once.
+    The determinant is the Laplace expansion along the last row, whose
+    cofactors are computed once per choice of the first n - 1 rows.
     """
     n = Q.n
     if n < 2:
@@ -868,8 +872,14 @@ def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> li
             if sum(map(mul, cof, last)) != m:
                 continue
             gamma = prefix + (last,)
-            divs = determinantal_divisors(gamma)
-            if divs[0] != 1 or divs[1] != l:
+            if gcd(*(x for row in gamma for x in row)) != 1:
+                continue
+            d2 = gcd(*(
+                r[i] * s[j] - r[j] * s[i]
+                for r, s in combinations(gamma, 2)
+                for i, j in combinations(range(n), 2)
+            ))
+            if d2 != l:
                 continue
             if _gram_in_windows(gamma, Q, windows):
                 out.append(gamma)
@@ -891,6 +901,8 @@ def scaling_experiment(
     t0 = time.perf_counter()
     if Q.n != 4:
         raise ValueError("the scaling ladder is a rank-4 experiment")
+    if nu < 1:
+        raise ValueError("the similitude exponent nu must be at least 1")
     ladder = []
     counts = []
     sizes = []

@@ -208,6 +208,8 @@ def verify_lem2(n: int, j: int, p: int) -> Lem2Report:
     (2j-i, j, ..., j, i) for 0 <= i <= j and extracts the bounded
     coefficients c_ij from the p-power normalization.
     """
+    if n < 2:
+        raise ValueError("the adjoint-product decomposition needs rank n >= 2")
     e = upper_generator(j, n, p)
     f = adjoint_generator(j, n, p)
     prod = multiply(e, f)

@@ -142,8 +142,19 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
      "not a rational number"),
     (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "bogus"),
      "unknown Q source"),
+    (("amplifier", "--n", "0"), "rank must be >= 1"),
+    (("lem2", "--n", "3", "--j", "-1"), "negative part"),
+    (("lem2", "--n", "1", "--j", "1"), "needs rank n >= 2"),
+    (("multiply", "--p", "3", "--a", "1,0", "--b", "1,0,0"), "differ in rank"),
+    (("count", "--mode", "corollary", "--x", "0"), "X must be at least 1"),
+    (("count", "--mode", "corollary", "--n", "2", "--k", "5", "--x", "4"),
+     "need 0 <= k <= n - 2"),
+    (("count", "--mode", "corollary", "--n", "0", "--x", "4"), "need 0 <= k <= n - 2"),
+    (("count", "--mode", "scaling", "--nu", "0"), "nu must be at least 1"),
 ], ids=["composite-p", "zero-p", "composite-ladder", "sdelta-m-zero", "delta-abc",
-        "unknown-q"])
+        "unknown-q", "amplifier-n-zero", "lem2-j-negative", "lem2-n-one",
+        "multiply-rank-mismatch", "corollary-x-zero", "corollary-k-above-n",
+        "corollary-n-zero", "scaling-nu-zero"])
 def test_invalid_values_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -163,7 +174,7 @@ def test_unreadable_q_file_is_a_usage_error(tmp_path, capsys, name):
 
 
 def test_failed_check_is_not_a_usage_error(monkeypatch):
-    # count maps the enumerators' ValueErrors to exit 2; an ArithmeticError
+    # main maps a subcommand's ValueError to exit 2; an ArithmeticError
     # from a failed check must still propagate (exit 1)
     from heckelab import cli
 
