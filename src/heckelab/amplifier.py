@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .linalg import solve
 from .partitions import Partition, weight_partitions
-from .satake import satake_image, scaled_image, trivial_point
-from .sympoly import SymPoly
+from .satake import satake_image, trivial_point
+from .sympoly import n_weight, scaled_product
 from .hecke import HeckeElement, multiply, upper_generator
 
 
@@ -126,35 +126,33 @@ class AmplifierSystem:
         return 1 / (Fraction(len(self.partitions)) * self.max_abs_y)
 
 
-def _generator_product_image(a: Partition, p: int) -> SymPoly:
-    """Scaled image of the product over j of T_[a_j]: product of scaled images."""
-    n = a.n
-    prod = SymPoly.one(n)
-    for part in a:
-        if part:
-            prod = prod * scaled_image(Partition((part,) + (0,) * (n - 1)), p)
-    return prod
-
-
 def amplifier_coefficients(n: int, p: int, verify: bool = True) -> AmplifierSystem:
     """Solve the amplifier system exactly and verify the operator identity.
 
     The matrix entry at (row a', column a) is the coefficient of the
     monomial orbit a' in the product of scaled images attached to a; the
-    right-hand side picks out the orbit of (1, ..., 1).
+    right-hand side picks out the orbit of (1, ..., 1).  The products are
+    formed in integers on the basis m' (see satake), which scales row a' by
+    p^{n(a')}, so that form is solved against p^{n(1^n)} e.
     """
     parts = sorted(weight_partitions(n), reverse=True)
-    size = len(parts)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for col, a in enumerate(parts):
-        img = _generator_product_image(a, p)
-        for row, aprime in enumerate(parts):
-            matrix[row][col] = img.coefficient(aprime)
+    generators = [satake_image(Partition((j,) + (0,) * (n - 1)), p).integral
+                  for j in range(n + 1)]
+    columns = []
+    for a in parts:
+        img = generators[0]
+        for part in a:
+            if part:
+                img = scaled_product(img, generators[part], p)
+        columns.append(img)
+    rows = [[col.get(aprime, 0) for col in columns] for aprime in parts]
     ones = Partition((1,) * n)
-    _, sol = solve(matrix, [[int(a == ones)] for a in parts])
+    _, sol = solve(rows, [[p ** n_weight(ones) * (a == ones)] for a in parts])
     if sol is None:
         raise SingularSystemError("singular amplifier matrix")
     y = {a: row[0] for a, row in zip(parts, sol)}
+    matrix = [[Fraction(x, p ** n_weight(aprime)) for x in row]
+              for aprime, row in zip(parts, rows)]
 
     identity_ok = True
     if verify:

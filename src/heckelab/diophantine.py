@@ -442,6 +442,8 @@ def corollary_count_ladder(
         raise ValueError("every ladder size X must be at least 1")
     t0 = time.perf_counter()
     Q = QuadraticForm.random_spd(n, seed) if Q is None else Q
+    if Q.n != n:
+        raise ValueError(f"Q has rank {Q.n}, not n = {n}")
     rng = np.random.default_rng(seed + 1)
     counts = []
     ladder = []

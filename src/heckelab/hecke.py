@@ -1,10 +1,10 @@
 """The Hecke algebra at a prime as exact linear combinations of double cosets.
 
-Products are computed through the Satake map: multiply the images, then
-expand the product polynomial back in the basis of scaled images by
-peeling leading partitions.  Every scaled image has unit coefficient at
-its own partition and support below it, so the change of basis is
-uni-triangular and the peeling is exact.
+Products are computed through the Satake map, in integers: multiply the
+images R_a (see satake) on the basis m', then peel the product back into
+the R_c by leading partitions.  Every R_c has coefficient 1 at m'_c and
+support below c, so the peeling is exact and yields the structure
+constants, Hall polynomials at p, as ints.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import Partition
-from .sympoly import SymPoly
-from .satake import satake_image, scaled_image
+from .sympoly import SymPoly, scaled_product
+from .satake import satake_image
 
 
 @dataclass(frozen=True)
@@ -107,56 +107,51 @@ def satake_of_element(e: HeckeElement) -> SymPoly:
     return total
 
 
-def _peel_order(key: tuple[int, ...]) -> tuple:
-    return sum(key), key
+def _integral_image(e: HeckeElement) -> dict:
+    """sum c_a R_a over the terms of e, on the basis m'; integral c enter as ints."""
+    out: dict = {}
+    for a, c in e.terms.items():
+        c = c.numerator if c.denominator == 1 else c
+        for k, v in satake_image(a, e.p).integral.items():
+            out[k] = out.get(k, 0) + c * v
+    return out
 
 
-def _expand_in_scaled_basis(f: SymPoly, p: int) -> dict[Partition, Fraction]:
-    """Write a symmetric polynomial as a combination of scaled Satake images.
+def _peel(residual: dict, p: int) -> dict[Partition, Fraction]:
+    """Write a polynomial on the basis m' as a combination of the images R_c.
 
-    Peels support keys in descending (weight, lex) order on one residual
-    dict, subtracting c times each scaled image entry by entry; the unit
-    leading coefficients of the scaled images make every pivot exact.
-    Raises if the residual fails to shrink, which would signal a
-    support-condition bug.
+    Peels support keys in descending (weight, lex) order off one residual
+    dict, subtracting c times each R_c entry by entry; their unit
+    coefficients at their own partitions make every pivot exact.  Raises if
+    the residual fails to shrink, which would signal a support-condition bug.
     """
-    out: dict[Partition, Fraction] = {}
-    residual = dict(f.terms)
+    out = {}
     last = None
     while residual:
-        key = max(residual, key=_peel_order)
-        if last is not None and _peel_order(key) >= _peel_order(last):
+        key = max(residual, key=lambda k: (sum(k), k))
+        if last is not None and (sum(key), key) >= last:
             raise ArithmeticError("basis expansion failed to make progress")
         if key[-1] < 0:
             raise ArithmeticError(f"cannot expand: negative exponent at {key}")
         c = residual[key]
         a = Partition(key)
         out[a] = c
-        for k, v in scaled_image(a, p).terms.items():
+        for k, v in satake_image(a, p).integral.items():
             r = residual.get(k, 0) - c * v
             if r:
                 residual[k] = r
             else:
                 residual.pop(k, None)
-        last = key
+        last = sum(key), key
     return out
 
 
 def multiply(e: HeckeElement, f: HeckeElement) -> HeckeElement:
-    """Exact product of two elements, via Satake images and basis inversion."""
+    """Exact product of two elements: one product of integral images, then peeled."""
     if (e.n, e.p) != (f.n, f.p):
         raise ValueError("factors differ in rank or prime")
-    prod = SymPoly.zero(e.n)
-    pe, pf = e.p, f.p
-    for a, ca in e.terms.items():
-        img_a = satake_image(a, pe).scaled
-        for b, cb in f.terms.items():
-            img_b = satake_image(b, pf).scaled
-            scale = ca * cb * Fraction(1, pe ** (a.v_weight() + b.v_weight()))
-            prod = prod + (img_a * img_b).scale(scale)
-    coeffs = _expand_in_scaled_basis(prod, e.p)
-    terms = {a: c * pe ** a.v_weight() for a, c in coeffs.items()}
-    return HeckeElement(e.n, e.p, terms)
+    prod = scaled_product(_integral_image(e), _integral_image(f), e.p)
+    return HeckeElement(e.n, e.p, _peel(prod, e.p))
 
 
 def multiply_generators(a, b, p: int) -> dict[Partition, int]:
@@ -217,28 +212,16 @@ def verify_lem2(n: int, j: int, p: int) -> Lem2Report:
     support_ok = all(a in family for a in prod.terms)
     tail_ok = all(all(a[k] >= j for k in range(n - 1)) for a in prod.terms)
 
-    v1 = Partition((j,) + (0,) * (n - 1)).v_weight()
-    v2 = Partition((j,) * (n - 1) + (0,)).v_weight()
-    alpha = {
-        a: c * Fraction(p) ** (a.v_weight() - v1 - v2) for a, c in prod.terms.items()
-    }
-    duality_ok = True
-    for a, val in alpha.items():
-        dual = Partition(tuple(2 * j - x for x in reversed(a)))
-        if alpha.get(dual) != val:
-            duality_ok = False
+    v12 = j + j * n * (n - 1) // 2  # v(j, 0, ..., 0) + v(j, ..., j, 0)
+    alpha = {a: c * Fraction(p) ** (a.v_weight() - v12) for a, c in prod.terms.items()}
+    duality_ok = all(alpha.get(Partition(2 * j - x for x in a)) == v for a, v in alpha.items())
 
-    scaled_prod = satake_of_element(prod).scale(Fraction(p) ** (v1 + v2))
-    dense = scaled_prod.expanded()
-    feq_ok = all(
-        dense.get(tuple(2 * j - x for x in k)) == c for k, c in dense.items()
-    )
+    # x -> (x_1...x_n)^{2j}/x maps m'_k to m'_(2j - k), with the same n at weight jn
+    image = _integral_image(prod)
+    feq_ok = all(image.get(tuple(2 * j - x for x in reversed(k))) == c for k, c in image.items())
 
-    c = {}
-    for a, coeff in prod.terms.items():
-        i = family.get(a)
-        if i is not None:
-            c[i] = coeff / Fraction(p) ** ((n - 1) * i)
+    c = {i: prod.terms[a] / Fraction(p) ** ((n - 1) * i)
+         for a, i in family.items() if a in prod.terms}
     return Lem2Report(
         n=n,
         j=j,

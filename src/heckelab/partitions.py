@@ -15,7 +15,6 @@ matrix A with D = A^T A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import matrix_det
@@ -124,20 +123,14 @@ def tableau_sum(shape: Partition, content: Partition, t):
     III (5.11').  Zero unless the content is dominated by the shape.
 
     The sum is an integer polynomial in t, built once per (shape, content)
-    by _tableau_sum and evaluated here: a Fraction t = u/v gives the single
-    Fraction sum_k c_k u^k v^(d-k) / v^d, an int t an int by Horner's rule
-    (so t = 0 gives the Kostka number), and any other number Horner's rule
-    in its own arithmetic.
+    by _tableau_sum and evaluated here by Horner's rule in the arithmetic
+    of t (so t = 0 gives the Kostka number).
     """
     shape = Partition(shape)
     content = Partition(content)
     if shape.weight != content.weight:
         raise ValueError("shape and content must have equal weight")
     coeffs = _tableau_sum(tuple(x for x in shape if x), tuple(x for x in content if x))
-    if isinstance(t, Fraction):
-        u, v = t.numerator, t.denominator
-        d = len(coeffs) - 1
-        return Fraction(sum(c * u**k * v ** (d - k) for k, c in enumerate(coeffs)), v**max(d, 0))
     value = 0
     for c in reversed(coeffs):
         value = value * t + c

@@ -1,7 +1,7 @@
 """Images of double-coset operators under the Satake map.
 
 For a non-increasing exponent vector a and a prime p, the image of the
-double-coset operator attached to diag(p^{a_1}, ..., p^{a_n}) is
+double-coset operator T_a attached to diag(p^{a_1}, ..., p^{a_n}) is
 
     p^{-v(a)} * P_a(x; 1/p),
 
@@ -13,27 +13,48 @@ it to the defining form
     1/v_a(t) = (1 - t)^n * prod_i prod_{j=1..k_i} (1 - t^j)^{-1},
 
 where k_1, ..., k_t are the multiplicities of the distinct values among the
-a_i.  Each image is checked for degree |a|, leading coefficient 1 at x^a,
-and coefficients in Z[1/p].
+a_i.  An image is stored as R_a = p^{-n(a)} P_a(x; 1/p), n(a) = v(a) - |a|,
+on the basis m'_b = p^{-n(b)} m_b: its coefficient sum_k c_k p^{n(b)-n(a)-k}
+comes from a tableau polynomial sum_k c_k t^k of degree at most n(b) - n(a),
+so it is an integer (Macdonald III (3.6), II (4.3)).  T_a -> R_a, the Satake
+map followed by x -> p x, is a ring homomorphism.  Each R_a is checked for
+weight |a|, coefficient 1 at a and that degree bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .linalg import require_prime
-from .partitions import Partition, dominance_leq
-from .sympoly import SymPoly, denominators_are_powers_of, hall_littlewood_p, schur
+from .partitions import Partition, _tableau_sum, dominance_leq, enumerate_partitions
+from .sympoly import SymPoly, denominators_are_powers_of, n_weight, schur
 
 
 @dataclass(frozen=True)
 class SatakeImage:
     a: Partition
     p: int
-    poly: SymPoly  # the image itself
-    scaled: SymPoly  # p^{v(a)} times the image; coefficients in Z[1/p]
+    integral: dict[tuple[int, ...], int]  # R_a on the basis m'_b = p^{-n(b)} m_b
+
+    @cached_property
+    def scaled(self) -> SymPoly:  # p^{v(a)} times the image, P_a(x; 1/p)
+        base = n_weight(self.a)
+        return SymPoly(self.a.n, {b: Fraction(c, self.p ** (n_weight(b) - base))
+                                  for b, c in self.integral.items()})
+
+    @cached_property
+    def poly(self) -> SymPoly:  # the image itself
+        return self.scaled.scale(Fraction(1, self.p ** self.a.v_weight()))
+
+
+@lru_cache(maxsize=None)
+def _tableau_polynomials(a: Partition) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """b -> coefficients in t of the coefficient of m_b in P_a(x; t), for b below a."""
+    shape = tuple(x for x in a if x)
+    return {tuple(b): _tableau_sum(shape, tuple(x for x in b if x))
+            for b in enumerate_partitions(a.n, a.weight) if dominance_leq(b, a)}
 
 
 @lru_cache(maxsize=None)
@@ -41,20 +62,19 @@ def satake_image(a: Partition, p: int) -> SatakeImage:
     """Exact Satake image of the double-coset operator for a at the prime p."""
     a = Partition(a)
     require_prime(p)
-    scaled = hall_littlewood_p(a, Fraction(1, p))
-    if scaled.homogeneous_degree() != a.weight:
-        raise ArithmeticError(f"image of {a}, p={p} is not homogeneous of degree {a.weight}")
-    if scaled.coefficient(a) != 1:
+    base = n_weight(a)
+    integral = {}
+    for b, coeffs in _tableau_polynomials(a).items():
+        if sum(b) != a.weight:
+            raise ArithmeticError(f"image of {a}, p={p} is not homogeneous of degree {a.weight}")
+        shift = n_weight(b) - base - (len(coeffs) - 1)
+        if shift < 0:
+            raise ArithmeticError(f"t-degree of m{b} in the image of {a} exceeds n{b} - n{a}")
+        if coeffs:  # Horner's rule at p: sum_k c_k p^(d - k)
+            integral[b] = reduce(lambda v, c: v * p + c, coeffs) * p**shift
+    if integral.get(tuple(a)) != 1:
         raise ArithmeticError(f"leading coefficient not 1 for {a}, p={p}")
-    if not denominators_are_powers_of(scaled, p):
-        raise ArithmeticError(f"image of {a} has a denominator prime to p={p}")
-    poly = scaled.scale(Fraction(1, p**a.v_weight()))
-    return SatakeImage(a=a, p=p, poly=poly, scaled=scaled)
-
-
-def scaled_image(a: Partition, p: int) -> SymPoly:
-    """p^{v(a)} times the Satake image (unit leading coefficient at x^a)."""
-    return satake_image(Partition(a), p).scaled
+    return SatakeImage(a=a, p=p, integral=integral)
 
 
 @dataclass
@@ -89,7 +109,7 @@ def verify_basic(a: Partition, p: int) -> BasicReport:
     """
     a = Partition(a)
     img = satake_image(a, p)
-    support = img.scaled.support_partitions()
+    support = sorted(img.scaled.terms)
     dom_ok = all(dominance_leq(b, a) for b in support)
     lex_ok = all(tuple(b) <= tuple(a) for b in support)
     dense = img.scaled.expanded()

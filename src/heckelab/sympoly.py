@@ -7,11 +7,12 @@ and the Hall-Littlewood polynomials P_a(x; t) by the tableau formula of
 Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'), with
 strip weights (5.8'); at t = 0 they are the Schur polynomials.
 
-A product is a sum over pairs of orbit keys of ca * cb times the integer
-structure constants of m_a * m_b = sum_c N_c m_c (Macdonald I §2).  Those
-constants depend only on the keys, never on the coefficients or on a
-prime, so _monomial_product builds each key pair's table once, by one walk
-over an orbit, and every later product reuses it.  The alternant
+scaled_product multiplies on the basis m'_k = p^(-n(k)) m_k, n(k) = sum (i-1) k_i:
+if m_a * m_b = sum_c N_c m_c (Macdonald I §2), then m'_a * m'_b is sum_c N_c
+p^(n(c) - n(a) - n(b)) m'_c, an exponent >= 0 since c = sort(a + sigma b) is
+dominated by a + b and n reverses dominance, so ints stay ints.  N_c and the
+exponent depend only on the keys: _monomial_product builds each key pair's
+table once for every prime, and SymPoly.__mul__ is the case p = 1.  The alternant
 
     sum over sigma of  sigma( x^a * prod_{i<j} (x_i - t x_j) / (x_i - x_j) ),
 
@@ -46,11 +47,17 @@ def _orbit_size(key: tuple[int, ...]) -> int:
     return size
 
 
+def n_weight(key) -> int:
+    """n(key) = sum (i - 1) key_i over the entries in order (Macdonald I (1.5))."""
+    return sum(i * x for i, x in enumerate(key))
+
+
 @lru_cache(maxsize=None)
 def _monomial_product(
     key_a: tuple[int, ...], key_b: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Structure constants of m_a * m_b = sum_c N_c m_c, as ((c, N_c), ...).
+) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Structure constants of m_a * m_b = sum_c N_c m_c, as ((c, N_c, s_c), ...)
+    with s_c = n(c) - n(a) - n(b) >= 0, the exponent of p on the basis m'.
 
     S_n acts diagonally on the pairs (alpha, beta) in O(a) x O(b), so the
     pairs summing into O(c) number |O(a)| #{beta in O(b) : sort(a + beta) = c},
@@ -61,13 +68,26 @@ def _monomial_product(
         tuple(sorted(map(add, key_a, beta), reverse=True)) for beta in _orbit(key_b)
     )
     size_a = _orbit_size(key_a)
+    base = n_weight(key_a) + n_weight(key_b)
     out = []
     for key, hits in sorted(tally.items()):
         count, rem = divmod(size_a * hits, _orbit_size(key))
         if rem:
             raise ArithmeticError(f"orbit count of {key} in m{key_a} * m{key_b} is not integral")
-        out.append((key, count))
+        out.append((key, count, n_weight(key) - base))
     return tuple(out)
+
+
+def scaled_product(f: dict, g: dict, p: int) -> dict:
+    """Coefficients of the product of f and g, all three on the basis m'_k = p^(-n(k)) m_k."""
+    out: dict = {}
+    right = list(g.items())
+    for key_a, ca in f.items():
+        for key_b, cb in right:
+            c = ca * cb
+            for key, count, shift in _monomial_product(key_a, key_b):
+                out[key] = out.get(key, 0) + c * count * p**shift
+    return {k: c for k, c in out.items() if c}
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -175,15 +195,8 @@ class SymPoly:
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         if self.n != other.n:
             raise ValueError("factors differ in the number of variables")
-        out: dict[tuple[int, ...], Fraction] = {}
-        right = list(other.terms.items())
-        for key_a, ca in self.terms.items():
-            for key_b, cb in right:
-                c = ca * cb
-                for key, count in _monomial_product(key_a, key_b):
-                    out[key] = out.get(key, 0) + c * count
         p = SymPoly(self.n)
-        p.terms = {k: c for k, c in out.items() if c}
+        p.terms = scaled_product(self.terms, other.terms, 1)
         return p
 
     # -- views -------------------------------------------------------------
@@ -200,12 +213,6 @@ class SymPoly:
                 dense[mono] = coeff
         return dense
 
-    def homogeneous_degree(self) -> int | None:
-        degs = {sum(k) for k in self.terms}
-        if not self.terms:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
-
     def evaluate(self, point):
         """Evaluate at a point (exact for int/Fraction inputs, numeric otherwise)."""
         if len(point) != self.n:
@@ -220,9 +227,6 @@ class SymPoly:
                     term = term * x**e
                 total += term
         return total
-
-    def support_partitions(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -106,15 +106,37 @@ def test_identity_lhs_reduces_to_identity_operator():
 
 
 def test_second_prime_reuses_the_prime_free_tables():
-    # the monomial structure constants and the tableau polynomials depend
-    # only on the partitions, so a second prime builds no new entry
-    tables = (sympoly._monomial_product, partitions._tableau_sum)
+    # the monomial structure constants with their p-exponents and the
+    # tableau polynomials depend only on the partitions, so a second prime
+    # builds no new entry
+    tables = (sympoly._monomial_product, partitions._tableau_sum, satake._tableau_polynomials)
     for cache in tables + (satake.satake_image,):
         cache.cache_clear()
     amplifier_coefficients(4, 2)
     misses = [cache.cache_info().misses for cache in tables]
     assert amplifier_coefficients(4, 3).identity_ok
     assert [cache.cache_info().misses for cache in tables] == misses
+
+
+def closed_forms(n, p):
+    """y as rational functions of p, from the Cramer quotients N_a(p) / det M(p)."""
+    q, r, s = p + 1, p * p + 1, p * p + p + 1
+    F = Fraction
+    if n == 3:
+        return {(3, 0, 0): F(p**2, s), (2, 1, 0): F(-p**2 * (2 * p + 1), q * s),
+                (1, 1, 1): F(p**3, q * s)}
+    return {(4, 0, 0, 0): F(-p**3, q * r),
+            (3, 1, 0, 0): F(p**3 * (2 * p * p + p + 1), q * r * s),
+            (2, 2, 0, 0): F(p**4, q * q * r),
+            (2, 1, 1, 0): F(-p**4 * (3 * p * p + 2 * p + 1), q * q * r * s),
+            (1, 1, 1, 1): F(p**6, q * q * r * s)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_closed_forms_of_y(n, p):
+    system = amplifier_coefficients(n, p, verify=False)
+    assert {tuple(a): v for a, v in system.y.items()} == closed_forms(n, p)
 
 
 def test_boundedness_across_prime_ladder():

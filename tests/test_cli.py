@@ -150,14 +150,18 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
     (("count", "--mode", "corollary", "--n", "2", "--k", "5", "--x", "4"),
      "need 0 <= k <= n - 2"),
     (("count", "--mode", "corollary", "--n", "0", "--x", "4"), "need 0 <= k <= n - 2"),
+    (("count", "--mode", "corollary", "--n", "3", "--k", "0", "--x", "4", "--q", "file:{form_2x2}"),
+     "Q has rank 2, not n = 3"),
     (("count", "--mode", "scaling", "--nu", "0"), "nu must be at least 1"),
 ], ids=["composite-p", "zero-p", "composite-ladder", "sdelta-m-zero", "delta-abc",
         "unknown-q", "amplifier-n-zero", "lem2-j-negative", "lem2-n-one",
         "multiply-rank-mismatch", "corollary-x-zero", "corollary-k-above-n",
-        "corollary-n-zero", "scaling-nu-zero"])
-def test_invalid_values_are_usage_errors(capsys, argv, message):
+        "corollary-n-zero", "corollary-q-rank", "scaling-nu-zero"])
+def test_invalid_values_are_usage_errors(tmp_path, capsys, argv, message):
+    form = tmp_path / "form_2x2.json"
+    form.write_text(json.dumps([[1, 0], [0, 1]]))
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+        main([arg.format(form_2x2=form) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -495,6 +495,12 @@ def test_corollary_rejects_bad_shapes():
         corollary_count_experiment(I3, 1, 5, DELTA, [(1, 0, 0)], [25])  # no linear target
 
 
+def test_ladder_rejects_a_form_of_another_rank():
+    # a 2x2 form would be zipped against 3-vectors, silently dropping a coordinate
+    with pytest.raises(ValueError, match="rank 2, not n = 3"):
+        corollary_count_ladder(3, 0, [4], seed=0, Q=I2)
+
+
 def test_ladder_exponent_fit():
     assert fit_exponent([10, 20, 40], [100, 400, 1600]) == pytest.approx(2.0)
     assert fit_exponent([10], [5]) is None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab import hecke
+from heckelab import hecke, partitions, satake, sympoly
 from heckelab.partitions import Partition, enumerate_partitions
 from heckelab.hecke import (
     HeckeElement,
@@ -16,7 +16,8 @@ from heckelab.hecke import (
     verify_lem2,
 )
 from heckelab.cosets import CosetBudgetError, oracle_multiply
-from heckelab.sympoly import SymPoly, monomial_symmetric
+from heckelab.satake import SatakeImage
+from heckelab.sympoly import SymPoly, hall_littlewood_p, monomial_symmetric
 
 
 def test_satake_of_element_examples():
@@ -39,20 +40,78 @@ def test_satake_of_element_matches_oracle_square():
 
 def test_expansion_rejects_negative_exponent():
     with pytest.raises(ArithmeticError, match="negative exponent"):
-        hecke._expand_in_scaled_basis(SymPoly(2, {(0, -1): Fraction(1)}), 3)
+        hecke._peel({(0, -1): 1}, 3)
 
 
 def test_expansion_detects_a_pivot_that_does_not_clear(monkeypatch):
     # a leading coefficient of 2 leaves -c at the pivot after subtracting
-    true_image = hecke.scaled_image
+    true_image = hecke.satake_image
 
     def image_without_unit_lead(a, p):
         img = true_image(a, p)
-        return SymPoly(img.n, {**img.terms, tuple(a): Fraction(2)})
+        return SatakeImage(a=img.a, p=p, integral={**img.integral, tuple(a): 2})
 
-    monkeypatch.setattr(hecke, "scaled_image", image_without_unit_lead)
+    monkeypatch.setattr(hecke, "satake_image", image_without_unit_lead)
     with pytest.raises(ArithmeticError, match="failed to make progress"):
-        hecke._expand_in_scaled_basis(monomial_symmetric(Partition((1, 0))), 3)
+        hecke._peel({(1, 0): 1}, 3)
+
+
+def multiply_spec(e: HeckeElement, f: HeckeElement) -> HeckeElement:
+    """The product in Fractions: sum c_a c_b p^-(v(a) + v(b)) S_a S_b over the
+    scaled images S_a = P_a(x; 1/p), peeled over the S_c and rescaled by p^v(c)."""
+    p = e.p
+
+    def scaled(a):
+        return hall_littlewood_p(a, Fraction(1, p))
+
+    prod = SymPoly.zero(e.n)
+    for a, ca in e.terms.items():
+        for b, cb in f.terms.items():
+            scale = ca * cb * Fraction(1, p ** (a.v_weight() + b.v_weight()))
+            prod = prod + (scaled(a) * scaled(b)).scale(scale)
+    residual, out, last = dict(prod.terms), {}, None
+    while residual:
+        key = max(residual, key=lambda k: (sum(k), k))
+        assert last is None or (sum(key), key) < last, "peeling made no progress"
+        c = residual[key]
+        out[Partition(key)] = c * p ** Partition(key).v_weight()
+        for k, v in scaled(key).terms.items():
+            residual[k] = residual.get(k, 0) - c * v
+            if not residual[k]:
+                del residual[k]
+        last = sum(key), key
+    return HeckeElement(e.n, p, out)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    parts = [a for w in range(4 if n == 4 else 5) for a in enumerate_partitions(n, w)]
+    coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+    terms = st.dictionaries(st.sampled_from(parts), coeffs, min_size=1, max_size=3)
+    return HeckeElement(n, p, draw(terms)), HeckeElement(n, p, draw(terms))
+
+
+@given(element_pairs())
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_fraction_spec(pair):
+    e, f = pair
+    assert multiply(e, f) == multiply_spec(e, f)
+
+
+def test_generator_grid_builds_pinned_tables():
+    # the crosscheck's 49 products at n = 3, p = 3 from cold caches: each
+    # monomial product table, tableau table and int image is built once
+    caches = (sympoly._monomial_product, satake._tableau_polynomials,
+              partitions._tableau_sum, satake.satake_image)
+    for cache in caches:
+        cache.cache_clear()
+    parts = [a for w in range(4) for a in enumerate_partitions(3, w)]
+    for a in parts:
+        for b in parts:
+            hecke.multiply_generators(a, b, 3)
+    assert [cache.cache_info().misses for cache in caches] == [49, 23, 76, 23]
 
 
 def test_central_twist_image():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab import satake
 from heckelab.partitions import Partition, enumerate_partitions
@@ -11,7 +13,7 @@ from heckelab.satake import (
     trivial_point,
     verify_basic,
 )
-from heckelab.sympoly import SymPoly, monomial_symmetric
+from heckelab.sympoly import hall_littlewood_p, monomial_symmetric, n_weight
 from heckelab.cosets import coset_decomposition
 
 
@@ -49,26 +51,38 @@ def test_rejects_composite_p(p):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda poly: poly + SymPoly(2, {(1, 0): Fraction(1)}),  # wrong degree
-        lambda poly: poly.scale(2),  # leading coefficient 2
-        lambda poly: poly + SymPoly(2, {(1, 1): Fraction(1, 7)}),  # denominator 7
+        lambda table: {**table, (1, 0): (1,)},  # a term of wrong degree
+        lambda table: {b: tuple(2 * c for c in cs) for b, cs in table.items()},  # lead 2
+        # + t^2 at (1, 1), above n(1, 1) - n(2, 0) = 1: the coefficient 1/3 on m'
+        lambda table: {**table, (1, 1): table[(1, 1)] + (1,)},
     ],
     ids=("degree", "leading", "denominator"),
 )
 def test_corrupted_image_raises_arithmetic_error(monkeypatch, corrupt):
     # explicit raises, not asserts, so the checks survive python -O
-    honest = satake.hall_littlewood_p
-    monkeypatch.setattr(satake, "hall_littlewood_p", lambda a, t: corrupt(honest(a, t)))
+    honest = satake._tableau_polynomials
+    monkeypatch.setattr(satake, "_tableau_polynomials", lambda a: corrupt(honest(a)))
     with pytest.raises(ArithmeticError):
         satake_image.__wrapped__(Partition((2, 0)), 3)
 
 
+@given(st.integers(1, 4), st.integers(0, 6), st.sampled_from([2, 3, 5, 7, 101]))
+@settings(max_examples=60, deadline=None)
+def test_integral_image_is_rescaled_hall_littlewood(n, weight, p):
+    # R_a on m'_b is p^(n(b) - n(a)) times the coefficient of m_b in P_a(x; 1/p)
+    for a in enumerate_partitions(n, weight):
+        img = satake_image(a, p)
+        spec = hall_littlewood_p(a, Fraction(1, p))
+        assert set(img.integral) == set(spec.terms)
+        for b, c in spec.terms.items():
+            assert type(img.integral[b]) is int
+            assert img.integral[b] == c * p ** (n_weight(b) - n_weight(a)), (a, b, p)
+
+
 def test_non_integral_degree_raises_arithmetic_error(monkeypatch):
     a = Partition((1, 0))
-    honest = satake_image(a, 3)
     # the degree 4 of T_(1,0) at p = 3 becomes 4/3
-    bent = satake.SatakeImage(a=a, p=3, poly=honest.poly.scale(Fraction(1, 3)),
-                              scaled=honest.scaled)
+    bent = satake.SatakeImage(a=a, p=3, integral={(1, 0): Fraction(1, 3)})
     monkeypatch.setattr(satake, "satake_image", lambda a, p: bent)
     with pytest.raises(ArithmeticError):
         degree_via_satake(a, 3)
