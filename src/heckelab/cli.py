@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .linalg import require_prime
-from .partitions import Partition, verify_cholesky, weight_partitions
+from .partitions import Partition, enumerate_partitions, verify_cholesky, weight_partitions
 from .satake import degree_via_satake, satake_image, verify_basic
 from .cosets import DEFAULT_BUDGET, CosetBudgetError, coset_decomposition, oracle_multiply
 from .hecke import multiply_generators, verify_lem2
@@ -251,17 +251,18 @@ def cmd_verify(args) -> int:
         for a in weight_partitions(n):
             rep = verify_basic(a, p)
             record(f"satake_basic_n{n}_p{p}_{tuple(a)}", rep.ok)
-    for n, p in ((2, 2), (2, 3), (3, 2)):
-        gens = [Partition((1,) + (0,) * (n - 1)), Partition((1,) * (n - 1) + (0,))]
-        for a in gens:
-            for b in gens:
+    # at n = 2 both generators are (1, 0), so every pair of weight <= 2 is checked
+    low = [a for w in range(3) for a in enumerate_partitions(2, w)]
+    for n, p, factors in ((2, 2, low), (2, 3, low), (3, 2, [(1, 0, 0), (1, 1, 0)])):
+        for a in factors:
+            for b in factors:
                 sat = multiply_generators(a, b, p)
                 orc = oracle_multiply(a, b, p)
                 record(f"cross_oracle_n{n}_p{p}_{tuple(a)}x{tuple(b)}", sat == dict(orc))
     for n, p in ((2, 5), (3, 3)):
         record(f"amplifier_identity_n{n}_p{p}", amplifier_coefficients(n, p).identity_ok)
     rep = verify_lem2(3, 1, 2)
-    record("lem2_n3_j1_p2", rep.support_ok and rep.duality_ok)
+    record("lem2_n3_j1_p2", rep.support_ok and rep.duality_ok and rep.functional_equation_ok)
     for n, p in ((2, 3), (3, 2)):
         for a in weight_partitions(n):
             record(

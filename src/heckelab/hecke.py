@@ -21,21 +21,24 @@ from .satake import satake_image
 class HeckeElement:
     """Finite rational linear combination of double-coset operators at one prime.
 
-    Stored partitions have non-negative parts.  Powers of the central coset
-    diag(p, ..., p) are carried by the partitions themselves: adding
-    (k, ..., k) to a partition multiplies its Satake image by
-    p^(-k n(n+1)/2) (x_1...x_n)^k, and reduced() drops them, since the
-    central coset acts as the identity operator.
+    An integral coefficient is stored as an int, any other as a Fraction, so
+    products of generators stay in ints.  Stored partitions have non-negative
+    parts.  Powers of the central coset diag(p, ..., p) are carried by the
+    partitions themselves: adding (k, ..., k) to a partition multiplies its
+    Satake image by p^(-k n(n+1)/2) (x_1...x_n)^k, and reduced() drops them,
+    since the central coset acts as the identity operator.
     """
 
     n: int
     p: int
-    terms: dict[Partition, Fraction] = field(default_factory=dict)
+    terms: dict[Partition, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         clean = {}
         for a, c in self.terms.items():
-            c = Fraction(c)
+            if not isinstance(c, int):
+                c = Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
             if c:
                 a = Partition(a)
                 if a.n != self.n:
@@ -48,11 +51,11 @@ class HeckeElement:
     @classmethod
     def generator(cls, a, p: int) -> "HeckeElement":
         a = Partition(a)
-        return cls(n=a.n, p=p, terms={a: Fraction(1)})
+        return cls(n=a.n, p=p, terms={a: 1})
 
     @classmethod
     def identity(cls, n: int, p: int) -> "HeckeElement":
-        return cls(n=n, p=p, terms={Partition((0,) * n): Fraction(1)})
+        return cls(n=n, p=p, terms={Partition((0,) * n): 1})
 
     # -- linear structure ------------------------------------------------
 
@@ -61,7 +64,7 @@ class HeckeElement:
             raise ValueError("summands differ in rank or prime")
         out = dict(self.terms)
         for a, c in other.terms.items():
-            out[a] = out.get(a, Fraction(0)) + c
+            out[a] = out.get(a, 0) + c
         return HeckeElement(self.n, self.p, out)
 
     def scale(self, c) -> "HeckeElement":
@@ -85,10 +88,10 @@ class HeckeElement:
         identity operator), so two elements are equal as operators iff
         their reduced forms have equal term dicts.
         """
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, int | Fraction] = {}
         for a, c in self.terms.items():
             b = Partition(tuple(x - a[-1] for x in a))
-            out[b] = out.get(b, Fraction(0)) + c
+            out[b] = out.get(b, 0) + c
         return HeckeElement(self.n, self.p, out)
 
     def operator_equal(self, other: "HeckeElement") -> bool:
@@ -108,16 +111,15 @@ def satake_of_element(e: HeckeElement) -> SymPoly:
 
 
 def _integral_image(e: HeckeElement) -> dict:
-    """sum c_a R_a over the terms of e, on the basis m'; integral c enter as ints."""
+    """sum c_a R_a over the terms of e, on the basis m'."""
     out: dict = {}
     for a, c in e.terms.items():
-        c = c.numerator if c.denominator == 1 else c
         for k, v in satake_image(a, e.p).integral.items():
             out[k] = out.get(k, 0) + c * v
     return out
 
 
-def _peel(residual: dict, p: int) -> dict[Partition, Fraction]:
+def _peel(residual: dict, p: int) -> dict[Partition, int | Fraction]:
     """Write a polynomial on the basis m' as a combination of the images R_c.
 
     Peels support keys in descending (weight, lex) order off one residual
@@ -161,14 +163,12 @@ def multiply_generators(a, b, p: int) -> dict[Partition, int]:
     non-integer output aborts with a diagnostic.
     """
     prod = multiply(HeckeElement.generator(a, p), HeckeElement.generator(b, p))
-    out = {}
     for c, coeff in prod.terms.items():
-        if coeff.denominator != 1 or coeff < 0:
+        if not isinstance(coeff, int) or coeff < 0:
             raise ArithmeticError(
                 f"structure constant {coeff} at {c} is not a non-negative integer"
             )
-        out[c] = coeff.numerator
-    return out
+    return prod.terms
 
 
 def upper_generator(j: int, n: int, p: int) -> HeckeElement:

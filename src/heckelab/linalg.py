@@ -1,11 +1,13 @@
-"""Exact linear algebra: integer determinants, rational solves, and the
+"""Exact linear algebra: integer determinants and solves, and the
 symmetric elimination behind completed squares.
 
-matrix_det never leaves Z (Bareiss, Math. Comp. 22 (1968): every division
-in the elimination is exact).  solve and ldl work over Q with Fraction
-entries; ldl does not pivot, so by Sylvester's criterion its pivots are all
-positive exactly when the leading principal minors are, which is how it
-certifies positive definiteness.  column_echelon brings an integer matrix
+matrix_det and solve share one fraction-free Gauss–Jordan elimination over
+Z (Bareiss, Math. Comp. 22 (1968): every division in it is exact); solve
+clears each row's denominators first and forms each solution entry as one
+Fraction at the end.  ldl works over Q with Fraction entries and does not
+pivot, so by Sylvester's criterion its pivots are all positive exactly
+when the leading principal minors are, which is how it certifies
+positive definiteness.  column_echelon brings an integer matrix
 to column echelon form by unimodular column operations (extended gcd), the
 basis change behind enumerating lattice points under linear windows, and
 lll reduces a lattice basis under an integer inner product, so that the
@@ -16,7 +18,7 @@ the one primality check behind every function that takes a prime p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def require_prime(p: int) -> None:
@@ -25,52 +27,54 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be a prime >= 2, got {p}")
 
 
-def matrix_det(m) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination."""
-    a = [list(row) for row in m]
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free Gauss–Jordan elimination of the integer rows a, in place.
+
+    Step k scales each other row by the pivot and divides by the previous
+    pivot, exactly (Bareiss), and drops the pivot column from every row.
+    Returns the determinant d of the leading square block (0 if singular);
+    the rows are then d times the solution of the system it defines.
+    """
     size = len(a)
-    sign, prev = 1, 1
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
+    prev = 1
+    for k in range(size):
+        piv = next((r for r in range(k, size) if a[r][0]), None)
         if piv is None:
             return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, size):
-            for c in range(col + 1, size):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-        prev = a[col][col]
-    return sign * prev
+        if piv != k:  # a swap that negates one row keeps det and solution
+            a[k], a[piv] = [-x for x in a[piv]], a[k]
+        d, pivot_row = a[k][0], a[k][1:]
+        a[k] = pivot_row
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[0]
+                a[i] = [(d * x - f * y) // prev for x, y in zip(row[1:], pivot_row)]
+        prev = d
+    return prev
+
+
+def matrix_det(m) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination."""
+    return _bareiss([list(row) for row in m])
 
 
 def solve(m, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Gauss–Jordan elimination of m X = rhs over Q.
+    """(det m, X) with m X = rhs, X None exactly when m is singular (det 0).
 
-    m is square and rhs has one row per row of m.  Returns (det m, X), with
-    X None exactly when m is singular (det 0).
+    m is square with int or Fraction entries, rhs has one row per row of m.
+    Each row of (m | rhs) is cleared of its denominators (lcm L_i), so the
+    elimination runs in integers; det m = d / prod L_i, and X = N / d.
     """
-    size = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(x) for x in extra]
-        for row, extra in zip(m, rhs)
-    ]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det, [row[size:] for row in a]
+    rows, scale = [], 1
+    for row, extra in zip(m, rhs):
+        entries = [*row, *extra]
+        den = lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (den // x.denominator) for x in entries])
+        scale *= den
+    det = _bareiss(rows)
+    if not det:
+        return Fraction(0), None
+    return Fraction(det, scale), [[Fraction(x, det) for x in row] for row in rows]
 
 
 def ldl(q) -> tuple[list[Fraction], list[list[Fraction]]] | None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .linalg import matrix_det
 
@@ -202,24 +203,15 @@ def _pad(t: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def _horizontal_strips(shape: tuple[int, ...], size: int):
-    """Shapes obtained from shape by removing a horizontal strip of the given size."""
-    rows = len(shape)
+    """Shapes obtained from shape by removing a horizontal strip of the given size.
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == rows:
-            if remaining == 0:
-                yield tuple(x for x in prefix if x)
-            return
-        below = shape[i + 1] if i + 1 < rows else 0
-        # new row length must stay >= next original row (strip condition)
-        hi = min(shape[i], (prefix[-1] if prefix else shape[i]))
-        lo = below
-        for new_len in range(hi, lo - 1, -1):
-            removed = shape[i] - new_len
-            if removed <= remaining:
-                yield from rec(i + 1, remaining - removed, prefix + (new_len,))
-
-    yield from rec(0, size, ())
+    Row i loses r_i <= shape[i] - shape[i+1] cells; the strips come in
+    ascending lex order of (r_1, r_2, ...).
+    """
+    caps = [x - y for x, y in zip(shape, shape[1:] + (0,))]
+    for removed in product(*(range(c + 1) for c in caps)):
+        if sum(removed) == size:
+            yield tuple(x - r for x, r in zip(shape, removed) if x != r)
 
 
 @lru_cache(maxsize=None)
@@ -238,26 +230,11 @@ def _contingency(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
         return 1 if all(c == 0 for c in cols) else 0
     r = rows[0]
     total = 0
-    for row in _bounded_compositions(r, cols):
-        reduced = tuple(sorted((c - x for c, x in zip(cols, row)), reverse=True))
-        total += _contingency(rows[1:], reduced)
+    for row in product(*(range(min(c, r) + 1) for c in cols)):  # first row, by column
+        if sum(row) == r:
+            reduced = tuple(sorted((c - x for c, x in zip(cols, row)), reverse=True))
+            total += _contingency(rows[1:], reduced)
     return total
-
-
-def _bounded_compositions(total: int, bounds: tuple[int, ...]):
-    """Compositions of total into len(bounds) parts with part i <= bounds[i]."""
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(bounds):
-            if remaining == 0:
-                yield prefix
-            return
-        if remaining > sum(bounds[i:]):
-            return
-        for x in range(min(bounds[i], remaining) + 1):
-            yield from rec(i + 1, remaining - x, prefix + (x,))
-
-    yield from rec(0, total, ())
 
 
 def weight_partitions(n: int) -> list[Partition]:

@@ -51,7 +51,14 @@ class SatakeImage:
 
 @lru_cache(maxsize=None)
 def _tableau_polynomials(a: Partition) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """b -> coefficients in t of the coefficient of m_b in P_a(x; t), for b below a."""
+    """b -> coefficients in t of the coefficient of m_b in P_a(x; t), for b below a.
+
+    A central shift a = c + (s^n) reuses the table of c, every key shifted by
+    s: P_a = (x_1...x_n)^s P_c (Macdonald III §2).
+    """
+    if s := a[-1]:
+        return {tuple(x + s for x in b): coeffs
+                for b, coeffs in _tableau_polynomials(Partition(x - s for x in a)).items()}
     shape = tuple(x for x in a if x)
     return {tuple(b): _tableau_sum(shape, tuple(x for x in b if x))
             for b in enumerate_partitions(a.n, a.weight) if dominance_leq(b, a)}

@@ -35,8 +35,15 @@ from .partitions import Partition, dominance_leq, enumerate_partitions, tableau_
 
 @lru_cache(maxsize=None)
 def _orbit(key: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Distinct permutations of an exponent vector."""
-    return tuple(sorted(set(permutations(key))))
+    """Distinct permutations of a non-increasing exponent vector, ascending lex:
+    each distinct entry, smallest first, followed by the orbit of the others."""
+    if len(key) < 2:
+        return (key,)
+    out = []
+    for i in range(len(key) - 1, -1, -1):
+        if i == len(key) - 1 or key[i] != key[i + 1]:
+            out += [(key[i], *rest) for rest in _orbit(key[:i] + key[i + 1:])]
+    return tuple(out)
 
 
 def _orbit_size(key: tuple[int, ...]) -> int:

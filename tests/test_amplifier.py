@@ -7,7 +7,7 @@ import pytest
 
 from heckelab import partitions, satake, sympoly
 from heckelab.partitions import Partition
-from heckelab.hecke import HeckeElement, multiply, upper_generator
+from heckelab.hecke import HeckeElement, multiply, upper_generator, verify_lem2
 from heckelab.amplifier import (
     AmplifierSystem,
     EigenvalueTable,
@@ -116,6 +116,20 @@ def test_second_prime_reuses_the_prime_free_tables():
     misses = [cache.cache_info().misses for cache in tables]
     assert amplifier_coefficients(4, 3).identity_ok
     assert [cache.cache_info().misses for cache in tables] == misses
+
+
+def test_benchmark_pass_builds_pinned_tables():
+    # the amplifier benchmark's systems and adjoint products from cold caches:
+    # every tableau table is built once, and a central shift a + (s^n) reads
+    # the tableau sums of a instead of building its own
+    tables = (partitions._tableau_sum, satake._tableau_polynomials)
+    for cache in tables + (satake.satake_image,):
+        cache.cache_clear()
+    for n, p in ((5, 3), (5, 101), (4, 2), (4, 3), (4, 5), (4, 101)):
+        assert amplifier_coefficients(n, p).identity_ok
+    for j in range(1, 5):
+        assert verify_lem2(4, j, 3).functional_equation_ok
+    assert [cache.cache_info().misses for cache in tables] == [367, 46]
 
 
 def closed_forms(n, p):

@@ -215,6 +215,29 @@ def test_verify_suite(capsys):
     assert all(c["ok"] for c in payload["checks"])
 
 
+def test_verify_check_names_are_unique(capsys):
+    _, out = run(capsys, "verify")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert len(names) == len(set(names))
+    # at n = 2 the two generators coincide, so the weight <= 2 pairs stand in
+    assert sum(name.startswith("cross_oracle_n2_") for name in names) == 2 * 4 * 4
+
+
+def test_verify_fails_on_the_lem2_functional_equation(monkeypatch, capsys):
+    from heckelab import cli, hecke
+
+    def broken(n, j, p):
+        rep = hecke.verify_lem2(n, j, p)
+        rep.functional_equation_ok = False
+        return rep
+
+    monkeypatch.setattr(cli, "verify_lem2", broken)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed == ["lem2_n3_j1_p2"]
+
+
 def test_verify_holds_without_assert_statements():
     # python -O strips assert statements, so no check in the package may rely
     # on one; the verify suite must still pass with them stripped

@@ -81,6 +81,62 @@ def test_solve(system):
         ] == rhs
 
 
+def gauss_jordan_spec(m, rhs):
+    """Gauss–Jordan elimination of m X = rhs in Fractions: (det m, X), X None
+    when m is singular.  The reference for the fraction-free solve."""
+    size = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(x) for x in extra]
+        for row, extra in zip(m, rhs)
+    ]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(size):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, [row[size:] for row in a]
+
+
+def singular_systems(entries):
+    """Systems whose last row is an integer combination of the others."""
+    return systems(entries).flatmap(
+        lambda s: st.lists(st.integers(-2, 2), min_size=len(s[0]), max_size=len(s[0])).map(
+            lambda c: (
+                s[0][:-1] + [[sum(ci * row[j] for ci, row in zip(c, s[0][:-1]))
+                              for j in range(len(s[0]))]],
+                s[1],
+            )
+        )
+    )
+
+
+@given(
+    st.one_of(
+        systems(st.integers(-50, 50)),
+        systems(st.fractions(-3, 3, max_denominator=6)),
+        singular_systems(small_ints),
+        singular_systems(st.fractions(-2, 2, max_denominator=3)),
+    )
+)
+@example(([[Fraction(1, 2)]], [[1, 0]]))  # det of m itself, not of the cleared 1
+@example(([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[1, 2], [3, 4], [5, 6]]))  # row swaps
+@example(([[0, 2, 1], [3, 0, 0], [1, 1, 0]], [[1, 0], [0, 1], [1, 1]]))  # swaps then pivots
+@example(([[1, 1], [1, 1]], [[1, 0], [0, 1]]))
+def test_solve_matches_fraction_gauss_jordan(system):
+    m, rhs = system
+    assert solve(m, rhs) == gauss_jordan_spec(m, rhs)
+
+
 @given(square(small_ints, 4), st.integers(0, 8), st.data())
 def test_ldl_certifies_positive_definite(s, shift, data):
     n = len(s)

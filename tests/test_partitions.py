@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.partitions import (
+    _horizontal_strips,
     CholeskyReport,
     Partition,
     contingency_count,
@@ -172,6 +173,19 @@ def tableau_sum_spec(shape, content, t):
                 smaller, content[:-1], t
             )
     return total
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.integers(0, 9).flatmap(
+    lambda w: st.sampled_from(enumerate_partitions(n, w)))), st.integers(0, 9))
+def test_horizontal_strips_are_the_interlacing_shapes(shape, size):
+    # shape / smaller is a horizontal strip iff shape_1 >= smaller_1 >= shape_2 >= ...;
+    # the strips come largest first
+    shape = tuple(x for x in shape if x)
+    below = shape[1:] + (0,)
+    spec = [smaller for smaller in product(*(range(lo, hi + 1) for lo, hi in zip(below, shape)))
+            if sum(shape) - sum(smaller) == size]
+    assert list(_horizontal_strips(shape, size)) == [
+        tuple(x for x in smaller if x) for smaller in sorted(spec, reverse=True)]
 
 
 T_VALUES = st.one_of(

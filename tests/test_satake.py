@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab import satake
-from heckelab.partitions import Partition, enumerate_partitions
+from heckelab.partitions import Partition, _tableau_sum, dominance_leq, enumerate_partitions
 from heckelab.satake import (
     degree_via_satake,
     satake_image,
@@ -86,6 +86,20 @@ def test_non_integral_degree_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(satake, "satake_image", lambda a, p: bent)
     with pytest.raises(ArithmeticError):
         degree_via_satake(a, 3)
+
+
+def test_central_shift_reuses_the_table_of_the_unshifted_shape():
+    # P_(c + (s^n)) = (x_1...x_n)^s P_c: the shifted table holds the tableau
+    # sums of the full shape at every content below it
+    for n in range(1, 6):
+        for w in range(9):
+            for a in enumerate_partitions(n, w):
+                if a[-1]:
+                    shape = tuple(x for x in a if x)
+                    assert satake._tableau_polynomials(a) == {
+                        tuple(b): _tableau_sum(shape, tuple(x for x in b if x))
+                        for b in enumerate_partitions(n, w) if dominance_leq(b, a)
+                    }, a
 
 
 def test_verify_basic_examples():

@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckelab import partitions
+from heckelab import partitions, sympoly
 from heckelab.partitions import Partition, enumerate_partitions, kostka_number
 from heckelab.sympoly import (
     SymPoly,
@@ -279,3 +280,11 @@ def test_product_rejects_other_number_of_variables():
 def test_evaluate_rejects_point_of_other_length():
     with pytest.raises(ValueError):
         SymPoly.one(2).evaluate([1, 2, 3])
+
+
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=7))
+@example([1, 1, 0, 0, 0, 0, 0])
+@example([2, 2, 2, 2, 2, 2, 2])
+def test_orbit_lists_distinct_permutations_in_order(entries):
+    key = tuple(sorted(entries, reverse=True))
+    assert sympoly._orbit(key) == tuple(sorted(set(permutations(key))))
