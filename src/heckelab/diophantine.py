@@ -604,14 +604,6 @@ def _minor_gcd(g: int, fixed, x, stop: int) -> int:
     return g
 
 
-def _set_bits(bits: int):
-    """The indices of the set bits of bits >= 0, in ascending order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 # -- lanes: many small integers as the digits of one int -----------------------------
 #
 # An int sum_t v_t 2^(width t) holds the values v_t in lanes of width bits.
@@ -687,8 +679,10 @@ def enumerate_S_delta(
     A leaf (a full matrix) therefore meets the deviation bound once its
     determinant is m, and it is decided from state carried down the search:
     the minors of the fixed columns, extended by one Laplace step per
-    column, give the determinant as one n-term dot product; D_1 is the gcd
-    of the entries and D_2 the gcd of the 2-by-2 minors.
+    column, and from those of the first n - 2 columns and column n - 2 the
+    cofactors along the last column, give the determinant as one n-term dot
+    product; D_1 is the gcd of the entries and D_2 the gcd of the 2-by-2
+    minors, neither computed further once it reaches 1, resp. l.
     notes["leaf_rejections"] counts the leaves failing on the determinant
     and on the divisors, in that order of testing.
     """
@@ -746,38 +740,48 @@ def enumerate_S_delta(
     def minors_vanish(col, shell, fresh: int) -> int:
         # the bits t of fresh with every 2-by-2 minor of (col, shell[t]) 0 mod l
         bits = 0
-        for t in _set_bits(fresh):
-            x = shell[t]
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            x = shell[low.bit_length() - 1]
             if all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs):
-                bits |= 1 << t
+                bits |= low
         return bits
 
+    # cof_plan[r] expands the cofactor of row r along the last column in
+    # the (n-2)-minors of the first n - 2 columns and the entries of column
+    # n - 2: two Laplace steps, their signs multiplied
+    cof_plan = [
+        [(r2, t2, sign * sign2) for r2, t2, sign2 in plan[n - 2][t]]
+        for _, t, sign in plan[n - 1][0]
+    ]
     nodes = 0
     complete = True
     witnesses: list[Matrix] = []
     count = 0
     rejections = {"det": 0, "divisors": 0}
 
-    def leaves(fixed, pool, minors, g1, g2):
+    def leaves(fixed, pool, cof, g1, g2):
         # the last column x completes the matrix: det = <cof, x> by Laplace
-        # expansion along it, from the (n-1)-minors of the fixed columns
+        # expansion along it
         nonlocal nodes, count, complete
-        cof = [0] * n
-        for r, t, sign in plan[n - 1][0]:
-            cof[r] = sign * minors[t]
         shell = shell_of[n - 1]
-        for i in _set_bits(pool):
+        while pool:
+            low = pool & -pool
+            pool ^= low
             nodes += 1
             if nodes > node_budget:
                 complete = False
                 return
-            x = shell[i]
+            x = shell[low.bit_length() - 1]
             if sum(map(mul, cof, x)) != m:
                 rejections["det"] += 1
                 continue
             # the pools make every 2-by-2 minor 0 mod l, so D_2 is a multiple
-            # of l and _minor_gcd may stop once it reaches l
-            if gcd(g1, *x) != 1 or _minor_gcd(g2, fixed, x, l) != l:
+            # of l: it is l once g2 is, and _minor_gcd may stop at l
+            if (g1 != 1 and gcd(g1, *x) != 1) or (
+                g2 != l and _minor_gcd(g2, fixed, x, l) != l
+            ):
                 rejections["divisors"] += 1
                 continue
             count += 1
@@ -786,17 +790,18 @@ def enumerate_S_delta(
 
     def search(fixed, pools, minors, g1, g2):
         # pools[k - j] is the bitmask over column k's shell of the points
-        # that fit every fixed column, where j = len(fixed); minors lists the
-        # minors of the fixed columns on the j-subsets of rows, in
+        # that fit every fixed column, where j = len(fixed) <= n - 2; minors
+        # lists the minors of the fixed columns on the j-subsets of rows, in
         # combinations order; g1 and g2 are the gcds of their entries and of
         # their 2-by-2 minors
         nonlocal nodes, complete
         j = len(fixed)
-        if j == n - 1:
-            leaves(fixed, pools[0], minors, g1, g2)
-            return
         shell, row = shell_of[j], tests[j]
-        for i in _set_bits(pools[0]):
+        pool = pools[0]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            i = low.bit_length() - 1
             nodes += 1
             if nodes > node_budget:
                 complete = False
@@ -804,31 +809,39 @@ def enumerate_S_delta(
             col = shell[i]
             img = None
             later = []
-            for k, pool in enumerate(pools[1:], j + 1):
-                if not pool:
-                    later.append(0)
-                    continue
-                known = row[k][i]
-                if known is None:
-                    if img is None:
-                        img = [sum(map(mul, r, col)) for r in Q.scaled]
-                    total = sum(c * p for c, p in zip(img, lanes[k]) if c)
-                    window = _lanes_in_window(
-                        total, len(shell_of[k]), width, *windows[Q.scaled[j][k]]
+            for k, pool_k in enumerate(pools[1:], j + 1):
+                if pool_k:
+                    known = row[k][i]
+                    if known is None:
+                        if img is None:
+                            img = [sum(map(mul, r, col)) for r in Q.scaled]
+                        total = sum(c * p for c, p in zip(img, lanes[k]) if c)
+                        window = _lanes_in_window(
+                            total, len(shell_of[k]), width, *windows[Q.scaled[j][k]]
+                        )
+                        # mod l = 1 every minor vanishes: the window decides
+                        known = row[k][i] = [window, 0] if l > 1 else [0, window]
+                    fresh = pool_k & known[0]
+                    if fresh:
+                        known[0] ^= fresh
+                        known[1] |= minors_vanish(col, shell_of[k], fresh)
+                    pool_k &= known[1]
+                if k == j + 1 and not pool_k:
+                    break  # the child would visit no node
+                later.append(pool_k)
+            else:  # no break: column j + 1 has candidates
+                g1_col = g1 if g1 == 1 else gcd(g1, *col)
+                g2_col = g2 if g2 == l else _minor_gcd(g2, fixed, col, l)
+                if j == n - 2:
+                    cof = _extend_minors(minors, col, cof_plan)
+                    leaves(fixed + [col], later[0], cof, g1_col, g2_col)
+                else:
+                    search(
+                        fixed + [col], later, _extend_minors(minors, col, plan[j]),
+                        g1_col, g2_col,
                     )
-                    # mod l = 1 every minor vanishes: the window decides
-                    known = row[k][i] = [window, 0] if l > 1 else [0, window]
-                fresh = pool & known[0]
-                if fresh:
-                    known[0] ^= fresh
-                    known[1] |= minors_vanish(col, shell_of[k], fresh)
-                later.append(pool & known[1])
-            search(
-                fixed + [col], later, _extend_minors(minors, col, plan[j]),
-                gcd(g1, *col), _minor_gcd(g2, fixed, col, l),
-            )
-            if not complete:
-                return
+                if not complete:
+                    return
 
     search([], [(1 << len(shell)) - 1 for shell in shell_of], [1], 0, 0)
     witnesses.sort()

@@ -1,18 +1,19 @@
 """Exact linear algebra: integer determinants and solves, and the
 symmetric elimination behind completed squares.
 
-matrix_det and solve share one fraction-free Gauss–Jordan elimination over
-Z (Bareiss, Math. Comp. 22 (1968): every division in it is exact); solve
-clears each row's denominators first and forms each solution entry as one
-Fraction at the end.  ldl works over Q with Fraction entries and does not
-pivot, so by Sylvester's criterion its pivots are all positive exactly
-when the leading principal minors are, which is how it certifies
-positive definiteness.  column_echelon brings an integer matrix
-to column echelon form by unimodular column operations (extended gcd), the
-basis change behind enumerating lattice points under linear windows, and
-lll reduces a lattice basis under an integer inner product, so that the
-enumeration runs on short, nearly orthogonal vectors.  require_prime is
-the one primality check behind every function that takes a prime p.
+matrix_det and solve share one fraction-free elimination over Z (Bareiss,
+Math. Comp. 22 (1968): every division in it is exact): triangular for the
+determinant, Gauss–Jordan for solve, which clears each row's denominators
+first and forms each solution entry as one Fraction at the end.  ldl works
+over Q with Fraction entries and does not pivot, so by Sylvester's
+criterion its pivots are all positive exactly when the leading principal
+minors are, which is how it certifies positive definiteness.
+column_echelon brings an integer matrix to column echelon form by
+unimodular column operations (extended gcd), the basis change behind
+enumerating lattice points under linear windows, and lll reduces a
+lattice basis under an integer inner product in integers only, so that
+the enumeration runs on short, nearly orthogonal vectors.  require_prime
+is the one primality check behind every function that takes a prime p.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be a prime >= 2, got {p}")
 
 
-def _bareiss(a: list[list[int]]) -> int:
+def _bareiss(a: list[list[int]], below_only: bool = False) -> int:
     """Fraction-free Gauss–Jordan elimination of the integer rows a, in place.
 
     Step k scales each other row by the pivot and divides by the previous
     pivot, exactly (Bareiss), and drops the pivot column from every row.
     Returns the determinant d of the leading square block (0 if singular);
-    the rows are then d times the solution of the system it defines.
+    the rows are then d times the solution of the system it defines.  With
+    below_only, step k updates only the rows below the pivot: triangular
+    elimination, which still returns d and leaves the rows unspecified.
     """
     size = len(a)
     prev = 1
@@ -45,8 +48,9 @@ def _bareiss(a: list[list[int]]) -> int:
             a[k], a[piv] = [-x for x in a[piv]], a[k]
         d, pivot_row = a[k][0], a[k][1:]
         a[k] = pivot_row
-        for i, row in enumerate(a):
+        for i in range(k + 1 if below_only else 0, size):
             if i != k:
+                row = a[i]
                 f = row[0]
                 a[i] = [(d * x - f * y) // prev for x, y in zip(row[1:], pivot_row)]
         prev = d
@@ -55,7 +59,7 @@ def _bareiss(a: list[list[int]]) -> int:
 
 def matrix_det(m) -> int:
     """Exact determinant of a square integer matrix by Bareiss elimination."""
-    return _bareiss([list(row) for row in m])
+    return _bareiss([list(row) for row in m], below_only=True)
 
 
 def solve(m, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
@@ -155,36 +159,52 @@ def lll(basis: list[list[int]], inner) -> list[list[int]]:
     with factor 3/4) of the lattice spanned by the independent integer
     vectors basis, under the integer-valued inner product inner(x, y).
 
-    Exact: the Gram–Schmidt data are recomputed in Fractions after every
-    change, which suits the handful of short bases it is meant for.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.6.7): the Gram determinants d_i of the first i vectors and
+    lam_ij = d_(j+1) mu_ij are integers, computed once and updated on each
+    size reduction and swap by exact divisions.  b_k is fully size-reduced,
+    each mu_kj rounded half to even as round() does, before the Lovász test.
     """
     b = [list(v) for v in basis]
     m = len(b)
-
-    def gso():
-        mu = [[Fraction(0)] * m for _ in range(m)]
-        norm: list[Fraction] = []
-        for i in range(m):
-            for j in range(i):
-                mu[i][j] = (inner(b[i], b[j]) - sum(
-                    mu[j][t] * mu[i][t] * norm[t] for t in range(j)
-                )) / norm[j]
-            norm.append(Fraction(inner(b[i], b[i])) - sum(mu[i][t] ** 2 * norm[t] for t in range(i)))
-        return mu, norm
-
+    # integral Gram–Schmidt: d[i] is the Gram determinant of b[:i], and
+    # lam[i][j] = d[j + 1] mu_ij for j < i
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            u = inner(b[i], b[j])
+            for t in range(j):
+                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
     k = 1
     while k < m:
-        mu, norm = gso()
+        row = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            # q = round(mu_kj), halves to even
+            q, r = divmod(row[j], d[j + 1])
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]:
+                    row[t] -= q * lam[j][t]
+                row[j] -= q * d[j + 1]
+        lk = row[k - 1]
+        # Lovász: |b*_k|^2 >= (3/4 - mu^2) |b*_(k-1)|^2, times 4 d[k] d[k - 1]
+        if 4 * (d[k + 1] * d[k - 1] + lk * lk) >= 3 * d[k] * d[k]:
             k += 1
         else:
             b[k - 1], b[k] = b[k], b[k - 1]
+            lam[k - 1][: k - 1], row[: k - 1] = row[: k - 1], lam[k - 1][: k - 1]
+            dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]  # d[k] after the swap
+            for i in range(k + 1, m):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = dk
             k = max(k - 1, 1)
     return b

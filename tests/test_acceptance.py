@@ -50,7 +50,9 @@ def report(num: int, text: str):
 def test_criterion_1_cross_oracle_multiplication():
     t0 = time.time()
     checked = skipped = 0
-    for n, primes in ((2, (2, 3, 5)), (3, (2, 3, 5))):
+    # n = 4 is the paper's rank; p = 5 is left out there, where weight 3
+    # alone has 2 558 556 coset candidates
+    for n, primes in ((2, (2, 3, 5)), (3, (2, 3, 5)), (4, (2, 3))):
         parts = [a for w in range(0, 4) for a in enumerate_partitions(n, w)]
         for p in primes:
             for a in parts:
@@ -199,13 +201,21 @@ def test_criterion_8_exponent_trends():
         rep = corollary_count_ladder(n, k, [10, 20, 30, 40], seed=20)
         assert rep.exponent_fit is not None
         assert rep.exponent_fit <= n - k - 2 + 0.3, (n, k, rep.exponent_fit)
-    scaling = scaling_experiment(QuadraticForm.identity(4), 1, [2, 3, 5, 7], DELTA)
+    primes = [2, 3, 5, 7, 11, 13]
+    scaling = scaling_experiment(QuadraticForm.identity(4), 1, primes, DELTA)
     assert scaling.complete
     assert scaling.exponent_fit is not None and scaling.exponent_fit < 3
+    # at nu = 1 every odd rung counts 192 (p + 1)^2
+    counts = {rung["p"]: rung["count"] for rung in scaling.notes["ladder"]}
+    assert all(counts[p] == 192 * (p + 1) ** 2 for p in primes if p > 2)
+    nu2 = scaling_experiment(QuadraticForm.identity(4), 2, [2, 3], DELTA)
+    assert nu2.complete
+    assert [rung["count"] for rung in nu2.notes["ladder"]] == [0, 27648]
     elapsed = time.time() - t0
     assert elapsed < 1800
     report(8, f"corollary ladder slopes within n-k-2+0.3; similitude ladder slope "
-              f"{scaling.exponent_fit:.2f} < 3, {elapsed:.0f}s")
+              f"{scaling.exponent_fit:.2f} < 3 (target {scaling.notes['target_slope']}) "
+              f"over p in {primes}, {elapsed:.0f}s")
 
 
 def test_criterion_9_binary_quadratic_oracle():

@@ -847,8 +847,13 @@ def test_delta_robustness(hadamard_report):
 
 
 def test_budget_flagging(s81_report):
+    # a stopped search reports the node that crossed the budget and the
+    # leaves it decided before it
     rep = enumerate_S_delta(I4, 81, 3, DELTA, collect_witnesses=False, node_budget=50)
     assert not rep.complete
+    assert rep.count == 11
+    assert rep.notes["nodes"] == 51
+    assert rep.notes["leaf_rejections"] == {"det": 15, "divisors": 4}
     # the search visits pools in shell order, so a cut keeps a fixed prefix
     rep = enumerate_S_delta(I4, 81, 3, DELTA, node_budget=5000)
     assert not rep.complete

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import mul
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from heckelab import linalg
 from heckelab.linalg import column_echelon, ldl, lll, matrix_det, solve
 
 
@@ -193,18 +195,35 @@ def test_column_echelon(k, n, data):
         assert (p is None) == (rank(rows[: j + 1]) == rank(rows[:j]))
 
 
-@given(st.integers(1, 4), st.data())
-def test_lll_keeps_the_lattice_and_reduces(m, data):
-    n = m + data.draw(st.integers(0, 1))
-    basis = data.draw(
-        st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=m, max_size=m)
+@st.composite
+def lattices(draw, entries=st.integers(-30, 30)):
+    """(basis, weights, shift): m independent integer vectors in Z^n, n in
+    {m, m + 1}, under <x, y> = sum_i w_i x_i y_i + (s . x)(s . y)."""
+    m = draw(st.integers(1, 4))
+    n = m + draw(st.integers(0, 1))
+    basis = draw(
+        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
         .filter(lambda b: rank(b) == m)
     )
-    diag = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    shift = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return basis, weights, shift
 
+
+def weighted_inner(weights, shift):
     def inner(x, y):
-        return sum(d * a * b for d, a, b in zip(diag, x, y))
+        return sum(w * a * b for w, a, b in zip(weights, x, y)) + sum(
+            map(mul, shift, x)
+        ) * sum(map(mul, shift, y))
 
+    return inner
+
+
+@given(lattices())
+def test_lll_keeps_the_lattice_and_reduces(lattice):
+    basis, weights, shift = lattice
+    m, n = len(basis), len(basis[0])
+    inner = weighted_inner(weights, shift)
     red = lll(basis, inner)
     # same lattice: red = C basis with C integer, and det C = +-1 because
     # the Gram determinants agree
@@ -224,3 +243,62 @@ def test_lll_keeps_the_lattice_and_reduces(m, data):
         norm.append(red_gram[i][i] - sum(mu[i][t] ** 2 * norm[t] for t in range(i)))
     assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(m) for j in range(i))
     assert all(norm[i] >= (Fraction(3, 4) - mu[i][i - 1] ** 2) * norm[i - 1] for i in range(1, m))
+
+
+def lll_spec(basis, inner):
+    """LLL with factor 3/4 in Fractions, its Gram–Schmidt data recomputed
+    after every change: b_k is fully size-reduced (round() takes halves to
+    even), then the Lovász test swaps or moves on.  The reference for the
+    integral lll."""
+    b = [list(v) for v in basis]
+    m = len(b)
+
+    def gso():
+        mu = [[Fraction(0)] * m for _ in range(m)]
+        norm: list[Fraction] = []
+        for i in range(m):
+            for j in range(i):
+                mu[i][j] = (inner(b[i], b[j]) - sum(
+                    mu[j][t] * mu[i][t] * norm[t] for t in range(j)
+                )) / norm[j]
+            norm.append(Fraction(inner(b[i], b[i])) - sum(mu[i][t] ** 2 * norm[t] for t in range(i)))
+        return mu, norm
+
+    k = 1
+    while k < m:
+        mu, norm = gso()
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k = max(k - 1, 1)
+    return b
+
+
+@given(st.one_of(lattices(), lattices(st.integers(-10**6, 10**6))))
+# mu = 5/2 rounds to 2 (half to even), where rounding half up gives 3
+@example(([[2, 0], [5, 1]], [1, 1], [0, 0]))
+@example(([[2, 0], [3, 1]], [1, 1], [0, 0]))  # mu = 3/2 rounds to 2
+@example(([[4, 0, 0], [2, 1, 0], [6, 3, 1]], [1, 1, 1], [0, 0, 0]))  # mu = 1/2 stays
+def test_lll_matches_fraction_spec(lattice):
+    basis, weights, shift = lattice
+    inner = weighted_inner(weights, shift)
+    assert lll(basis, inner) == lll_spec(basis, inner)
+
+
+def test_lll_makes_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lll made a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    # a skewed basis of Z^3: four size reductions and three swaps
+    basis = [[5, 7, 1], [3, 1, 0], [1, 0, 0]]
+    inner = weighted_inner([1, 2, 3], [1, 0, -1])
+    assert lll(basis, inner) == lll_spec(basis, inner)
