@@ -45,7 +45,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
-from .linalg import column_echelon, ldl, lll, matrix_det
+from .linalg import column_echelon, gram_schmidt, lll, matrix_det
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -67,20 +67,19 @@ class QuadraticForm:
         q = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
         object.__setattr__(self, "entries", q)
         n = len(q)
-        if any(len(row) != n for row in q):
-            raise ValueError("form must be square")
+        if not n or any(len(row) != n for row in q):
+            raise ValueError("form must be square, of rank at least 1")
         for i in range(n):
             for j in range(n):
                 if q[i][j] != q[j][i]:
                     raise ValueError("form must be symmetric")
-        if ldl(q) is None:
-            raise ValueError("form must be positive definite")
         # scale*Q is the integer matrix behind the integer-exact kernels
         scale = lcm(*(x.denominator for row in q for x in row))
+        scaled = tuple(tuple(int(x * scale) for x in row) for row in q)
+        if gram_schmidt(scaled) is None:
+            raise ValueError("form must be positive definite")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(
-            self, "scaled", tuple(tuple(int(x * scale) for x in row) for row in q)
-        )
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -263,9 +262,10 @@ def quadratic_shell_points(
     integer vector).
 
     Recursive completed-square enumeration (Fincke–Pohst) in integers only.
-    With Q = u^T diag(d) u, e_i the lcm of the denominators in row i of u
-    and t_i = e_i (u y)_i, W * y^T Q y = sum_i w_i t_i^2 with integers
-    w_i = W d_i / e_i^2, so each coordinate's range comes from an integer
+    With y = U z for the basis U below and (d, lam) = gram_schmidt(U^T
+    (scale*Q) U), W * scale * y^T Q y = sum_i w_i t_i^2, with W the lcm of
+    the d_i d_(i+1), integers w_i = W / (d_i d_(i+1)) and t_i = d_(i+1) z_i
+    + sum_{k>i} lam_ki z_k, so each coordinate's range comes from an integer
     square root and no point is missed or admitted by rounding.  These
     ranges are the whole search: no coordinate box is needed or applied.
 
@@ -296,7 +296,7 @@ def quadratic_shell_points(
     cols[: n - r] = lll(cols[: n - r], Q.scaled_apply)
     U = [list(row) for row in zip(*cols)]
     SU = [[sum(map(mul, row, col)) for col in cols] for row in Q.scaled]
-    form = [[Fraction(sum(map(mul, c, sc)), Q.scale) for sc in zip(*SU)] for c in cols]
+    d, lam = gram_schmidt([[sum(map(mul, c, sc)) for sc in zip(*SU)] for c in cols])
     # win[i]: the window on coordinate i from its pivot row
     win: list[tuple | None] = [None] * n
     dependent = []
@@ -306,12 +306,11 @@ def quadratic_shell_points(
         else:
             rest = [(c, h[c]) for c in range(p + 1, n) if h[c]]
             win[p] = (h[p], rest, window[1], window[2])
-    d, u = ldl(form)
-    e = [lcm(*(x.denominator for x in row)) for row in u]
-    ue = [[int(x * ei) for x in row] for row, ei in zip(u, e)]
-    W = lcm(*((di / ei**2).denominator for di, ei in zip(d, e)))
-    w = [int(W * di / ei**2) for di, ei in zip(d, e)]
-    top, need = floor(W * hi), ceil(W * lo)
+    e = d[1:]
+    W = lcm(*(a * b for a, b in zip(d, e)))
+    w = [W // (a * b) for a, b in zip(d, e)]
+    top = W * Q.scale * hi.numerator // hi.denominator
+    need = -(-W * Q.scale * lo.numerator // lo.denominator)
     out: list[tuple[int, ...]] = []
     z = [0] * n
 
@@ -326,7 +325,7 @@ def quadratic_shell_points(
 
     def rec(i: int, s: int):
         # s = sum_{j > i} w_j t_j^2 <= top
-        c = sum(ue[i][j] * z[j] for j in range(i + 1, n))
+        c = sum(lam[k][i] * z[k] for k in range(i + 1, n))
         r = isqrt((top - s) // w[i])
         if i:
             for val in zs(i, -r, r, c):
@@ -589,13 +588,12 @@ def _extend_minors(minors: list[int], col, terms) -> list[int]:
     return out
 
 
-def _minor_gcd(g: int, fixed, x, stop: int) -> int:
-    """gcd of g and the 2-by-2 minors of each fixed column with x.
+def _minor_gcd(g: int, fixed, x, pairs, stop: int) -> int:
+    """gcd of g and the 2-by-2 minors (rows a, b in pairs) of each fixed column with x.
 
     It returns early once the gcd equals stop, which is exact only when
     stop divides g and every such minor (stop = 1 always may).
     """
-    pairs = list(combinations(range(len(x)), 2))
     for f in fixed:
         for a, b in pairs:
             if g == stop:
@@ -780,7 +778,7 @@ def enumerate_S_delta(
             # the pools make every 2-by-2 minor 0 mod l, so D_2 is a multiple
             # of l: it is l once g2 is, and _minor_gcd may stop at l
             if (g1 != 1 and gcd(g1, *x) != 1) or (
-                g2 != l and _minor_gcd(g2, fixed, x, l) != l
+                g2 != l and _minor_gcd(g2, fixed, x, pairs, l) != l
             ):
                 rejections["divisors"] += 1
                 continue
@@ -831,7 +829,7 @@ def enumerate_S_delta(
                 later.append(pool_k)
             else:  # no break: column j + 1 has candidates
                 g1_col = g1 if g1 == 1 else gcd(g1, *col)
-                g2_col = g2 if g2 == l else _minor_gcd(g2, fixed, col, l)
+                g2_col = g2 if g2 == l else _minor_gcd(g2, fixed, col, pairs, l)
                 if j == n - 2:
                     cof = _extend_minors(minors, col, cof_plan)
                     leaves(fixed + [col], later[0], cof, g1_col, g2_col)

@@ -1,13 +1,14 @@
-"""Exact linear algebra: integer determinants and solves, and the
-symmetric elimination behind completed squares.
+"""Exact linear algebra: integer determinants and solves, and the integral
+Gram–Schmidt data behind completed squares and LLL.
 
 matrix_det and solve share one fraction-free elimination over Z (Bareiss,
 Math. Comp. 22 (1968): every division in it is exact): triangular for the
 determinant, Gauss–Jordan for solve, which clears each row's denominators
-first and forms each solution entry as one Fraction at the end.  ldl works
-over Q with Fraction entries and does not pivot, so by Sylvester's
-criterion its pivots are all positive exactly when the leading principal
-minors are, which is how it certifies positive definiteness.
+first and forms each solution entry as one Fraction at the end.  gram_schmidt
+gives the leading principal minors d_i of an integer Gram matrix and the
+integers d_(j+1) mu_ij by exact divisions: the completed squares of its form
+and the start of lll.  It stops at the first d_i <= 0, so by Sylvester's
+criterion it certifies positive definiteness.
 column_echelon brings an integer matrix to column echelon form by
 unimodular column operations (extended gcd), the basis change behind
 enumerating lattice points under linear windows, and lll reduces a
@@ -81,26 +82,30 @@ def solve(m, rhs) -> tuple[Fraction, list[list[Fraction]] | None]:
     return Fraction(det, scale), [[Fraction(x, det) for x in row] for row in rows]
 
 
-def ldl(q) -> tuple[list[Fraction], list[list[Fraction]]] | None:
-    """Completed squares y^T q y = sum_i d_i (y_i + sum_{j>i} u_ij y_j)^2.
-
-    q is symmetric.  Returns (d, u), with u unit upper triangular, or None
-    unless every pivot d_i is positive, that is unless q is positive definite.
+def gram_schmidt(gram) -> tuple[list[int], list[list[int]]] | None:
+    """Integral Gram–Schmidt data (d, lam) of the integer Gram matrix gram,
+    read on and below the diagonal (Cohen, Alg. 2.6.7): d[0] = 1, d[i + 1]
+    is the (i + 1)-th leading principal minor and lam[i][j] = d[j + 1] mu_ij
+    for j < i, all reached by exact divisions.  Returns None at the first
+    d[i + 1] <= 0, so exactly when gram is not positive definite
+    (Sylvester).  Then y^T gram y = sum_i T_i^2 / (d[i] d[i + 1]) with
+    integers T_i = d[i + 1] y_i + sum_{k > i} lam[k][i] y_k.
     """
-    n = len(q)
-    a = [[Fraction(x) for x in row] for row in q]
-    d: list[Fraction] = []
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if a[i][i] <= 0:
+    m = len(gram)
+    d = [1] * (m + 1)
+    lam: list[list[int]] = []
+    for i in range(m):
+        row: list[int] = []
+        lam.append(row)
+        for j in range(i + 1):
+            u = gram[i][j]
+            for t in range(j):
+                u = (d[t + 1] * u - row[t] * lam[j][t]) // d[t]
+            row.append(u)
+        d[i + 1] = row.pop()  # the step j = i gives the minor
+        if d[i + 1] <= 0:
             return None
-        d.append(a[i][i])
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] -= a[i][r] * u[i][c]
-    return d, u
+    return d, lam
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,25 +166,13 @@ def lll(basis: list[list[int]], inner) -> list[list[int]]:
 
     Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 2.6.7): the Gram determinants d_i of the first i vectors and
-    lam_ij = d_(j+1) mu_ij are integers, computed once and updated on each
+    lam_ij = d_(j+1) mu_ij come from gram_schmidt and are updated on each
     size reduction and swap by exact divisions.  b_k is fully size-reduced,
     each mu_kj rounded half to even as round() does, before the Lovász test.
     """
     b = [list(v) for v in basis]
     m = len(b)
-    # integral Gram–Schmidt: d[i] is the Gram determinant of b[:i], and
-    # lam[i][j] = d[j + 1] mu_ij for j < i
-    d = [1] * (m + 1)
-    lam = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1):
-            u = inner(b[i], b[j])
-            for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-            if j < i:
-                lam[i][j] = u
-            else:
-                d[i + 1] = u
+    d, lam = gram_schmidt([[inner(b[i], b[j]) for j in range(i + 1)] for i in range(m)])
     k = 1
     while k < m:
         row = lam[k]

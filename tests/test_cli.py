@@ -149,7 +149,7 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
     (("count", "--mode", "corollary", "--x", "0"), "X must be at least 1"),
     (("count", "--mode", "corollary", "--n", "2", "--k", "5", "--x", "4"),
      "need 0 <= k <= n - 2"),
-    (("count", "--mode", "corollary", "--n", "0", "--x", "4"), "need 0 <= k <= n - 2"),
+    (("count", "--mode", "corollary", "--n", "0", "--x", "4"), "rank at least 1"),
     (("count", "--mode", "corollary", "--n", "3", "--k", "0", "--x", "4", "--q", "file:{form_2x2}"),
      "Q has rank 2, not n = 3"),
     (("count", "--mode", "scaling", "--nu", "0"), "nu must be at least 1"),

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,7 +28,7 @@ from heckelab.diophantine import (
     quadratic_shell_points,
     scaling_experiment,
 )
-from heckelab.linalg import ldl, solve
+from heckelab.linalg import solve
 
 DELTA = Fraction(1, 10**6)
 I2 = QuadraticForm.identity(2)
@@ -185,12 +185,22 @@ def test_form_validation():
         QuadraticForm(((1, 2), (3, 1)))
     with pytest.raises(ValueError):
         QuadraticForm(((1, 2), (2, 1)))  # indefinite
+    with pytest.raises(ValueError):
+        QuadraticForm(())  # rank 0: the shell would index an empty basis
 
 
 def test_form_rows_must_have_length_n():
     # the CLI reads forms from files, so a ragged row is outside input
     with pytest.raises(ValueError):
         QuadraticForm(((1, 0, 5), (0, 1)))
+
+
+def positive_definite(q) -> bool:
+    """Sylvester's criterion for the rational symmetric q: every leading
+    principal minor of q, cleared of its denominators, is positive."""
+    scale = lcm(*(Fraction(x).denominator for row in q for x in row))
+    m = [[int(x * scale) for x in row] for row in q]
+    return all(matrix_det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 def eigen_bounds(q):
@@ -229,7 +239,7 @@ def test_eigen_bounds_tiny_lambda_min(entries):
     lo, _ = eigen_bounds(q)
     assert 0 < lo
     shifted = [[q.entries[i][j] - (lo if i == j else 0) for j in range(q.n)] for i in range(q.n)]
-    assert ldl(shifted) is not None
+    assert positive_definite(shifted)
 
 
 # an entry beyond float range: float(10**400) overflows
@@ -243,7 +253,7 @@ def test_eigen_bounds_beyond_float_range():
         [[q.entries[i][j] - (lo if i == j else 0) for j in range(2)] for i in range(2)],
         [[(hi if i == j else 0) - q.entries[i][j] for j in range(2)] for i in range(2)],
     ):
-        assert ldl(shifted) is not None
+        assert positive_definite(shifted)
     assert len(quadratic_shell_points(q, 0, 5)) == 5
     rep = corollary_count_experiment(q, 0, 1, DELTA, [], [1], collect_witnesses=True)
     assert [w[0] for w in rep.witnesses] == [(0, -1), (0, 1)]
@@ -358,7 +368,7 @@ def test_shell_exact_beyond_float_precision():
     st.fractions(min_value=-2, max_value=8, max_denominator=5),
     st.fractions(min_value=0, max_value=4, max_denominator=5),
 )
-@example(  # row 0 of u has denominators 2 and 3, so e_0 = 6
+@example(  # scale 6, d = 1, 6, 63, 708: W = 44604 and w = 7434, 118, 1
     QuadraticForm(
         ((1, Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), 2, 0), (Fraction(1, 3), 0, 2))
     ),
@@ -376,7 +386,7 @@ def test_shell_rational_form_brute_force(q, lo, width):
     w = np.linalg.eigvalsh([[float(x) for x in row] for row in q.entries])
     lam = Fraction(float(w[0])).limit_denominator(10**6) * Fraction(15, 16)
     shifted = [[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(q.entries)]
-    assert ldl(shifted) is not None
+    assert positive_definite(shifted)
     box = isqrt(floor(max(hi, 0) / lam)) + 1
     brute = [
         y
@@ -636,7 +646,7 @@ def test_carried_minors_match_determinant_and_divisors(n, l, data):
     plan = _laplace_plan(n)
     minors, g2 = [1], 0
     for j, col in enumerate(cols):
-        g2 = _minor_gcd(g2, cols[:j], col, l)
+        g2 = _minor_gcd(g2, cols[:j], col, list(combinations(range(n), 2)), l)
         minors = _extend_minors(minors, col, plan[j])
         subsets = list(combinations(range(n), j + 1))
         assert len(minors) == len(subsets)

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heckelab import linalg
-from heckelab.linalg import column_echelon, ldl, lll, matrix_det, solve
+from heckelab.linalg import column_echelon, gram_schmidt, lll, matrix_det, solve
 
 
 def leibniz_det(m):
@@ -139,18 +139,28 @@ def test_solve_matches_fraction_gauss_jordan(system):
     assert solve(m, rhs) == gauss_jordan_spec(m, rhs)
 
 
-@given(square(small_ints, 4), st.integers(0, 8), st.data())
-def test_ldl_certifies_positive_definite(s, shift, data):
-    n = len(s)
-    q = [[s[i][j] + s[j][i] + 2 * shift * (i == j) for j in range(n)] for i in range(n)]
+symmetric = st.tuples(square(small_ints, 4), st.integers(0, 8)).map(
+    lambda t: [
+        [t[0][i][j] + t[0][j][i] + 2 * t[1] * (i == j) for j in range(len(t[0]))]
+        for i in range(len(t[0]))
+    ]
+)
+
+
+@given(symmetric, st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+@example([[1, 1], [1, 1]], [1, -1, 0, 0])  # the last pivot is 0
+@example([[0, 1], [1, 2]], [1, 0, 0, 0])  # the first pivot is 0
+def test_gram_schmidt_certifies_positive_definite(q, y):
+    n = len(q)
     minors = [leibniz_det([row[:k] for row in q[:k]]) for k in range(1, n + 1)]
-    out = ldl(q)
-    assert (out is not None) == all(x > 0 for x in minors)
+    out = gram_schmidt(q)
+    assert (out is None) == any(x <= 0 for x in minors)
     if out is not None:
-        d, u = out
-        y = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-        uy = [sum(u[i][j] * y[j] for j in range(n)) for i in range(n)]
-        assert sum(di * v * v for di, v in zip(d, uy)) == sum(
+        d, lam = out
+        assert d == [1, *minors]
+        y = y[:n]
+        t = [d[i + 1] * y[i] + sum(lam[k][i] * y[k] for k in range(i + 1, n)) for i in range(n)]
+        assert sum(Fraction(t[i] ** 2, d[i] * d[i + 1]) for i in range(n)) == sum(
             y[i] * q[i][j] * y[j] for i in range(n) for j in range(n)
         )
 
@@ -302,3 +312,7 @@ def test_lll_makes_no_fraction(monkeypatch):
     basis = [[5, 7, 1], [3, 1, 0], [1, 0, 0]]
     inner = weighted_inner([1, 2, 3], [1, 0, -1])
     assert lll(basis, inner) == lll_spec(basis, inner)
+    # the Gram–Schmidt data lll starts from: d_k is the k-th leading minor
+    gram = [[inner(x, y) for y in basis] for x in basis]
+    d, _ = gram_schmidt(gram)
+    assert d == [1, *(matrix_det([row[:k] for row in gram[:k]]) for k in (1, 2, 3))]
