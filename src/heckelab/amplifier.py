@@ -289,6 +289,8 @@ def amplifier_value(
     tables are the reference itself and the solved systems are supplied, the
     value is checked against the quadratic lower bound in the prime count.
     """
+    if not tables:
+        raise ValueError("at least one eigenvalue table is required")
     primes = [t.p for t in tables]
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")

@@ -3,14 +3,16 @@
 Left cosets of the double coset of diag(p^{a_1}, ..., p^{a_n}) are
 represented by integer matrices in Hermite form: upper triangular, positive
 diagonal, and each above-diagonal entry reduced modulo the diagonal entry
-of its column.  Enumerating all Hermite forms with determinant p^{|a|} once
-and grouping them by type (elementary divisors) gives a complete,
-duplicate-free list for every a of that weight.  At determinant ±p^w every
-divisor is a power of p, so types are found modulo p^{w+1}, by pivoting on
-entries of least p-adic valuation, with no Euclidean loop.  Each normal
-form has one routine here: hermite_reduce_upper for Hermite forms, and
-elementary_divisors, which reads the Smith form of any small nonsingular
-matrix from its definition, the gcds of its minors.
+of its column.  One cached pass per weight w types each Hermite form of
+determinant p^w once (its elementary divisors) and keeps the forms of each
+type, a complete, duplicate-free list for every a of weight w, and the type
+of each form.  The forms are the [w + n − 1, n − 1]_p sublattices of index
+p^w in Zⁿ, a count the budget reads in closed form.  At determinant ±p^w
+every divisor is a power of p, so types are found modulo p^{w+1}, by
+pivoting on entries of least p-adic valuation, with no Euclidean loop.
+Each normal form has one routine here: hermite_reduce_upper for Hermite
+forms, and elementary_divisors, which reads the Smith form of any small
+nonsingular matrix from its definition, the gcds of its minors.
 
 The structure constants of a product of two operators are counted for one
 fixed target per class: the coefficient of the class c in T_a·T_b is the
@@ -138,56 +140,41 @@ class CosetList:
         return len(self.reps)
 
 
-def _diagonal_types(n: int, weight: int):
-    """All exponent vectors b with sum(b) = weight for the Hermite diagonals."""
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for x in range(remaining + 1):
-            yield from rec(prefix + (x,), remaining - x, slots - 1)
-
-    yield from rec((), weight, n)
-
-
 def _candidate_count(n: int, weight: int, p: int) -> int:
-    total = 0
-    for b in _diagonal_types(n, weight):
-        c = 1
-        for j, e in enumerate(b):
-            c *= p ** (e * j)
-        total += c
-    return total
+    """Number of Hermite forms of det p^weight, the sublattices of index p^weight in Zⁿ.
+
+    That is the Gaussian binomial [weight + n − 1, n − 1]_p (Grunewald, Segal
+    and Smith, Invent. Math. 93, 1988), as are its partial products here.
+    """
+    count = 1
+    for i in range(1, n):
+        count = count * (p ** (weight + i) - 1) // (p**i - 1)
+    return count
 
 
 @lru_cache(maxsize=None)
 def _decompose_weight(n: int, weight: int, p: int):
-    """Group all Hermite forms of determinant p^weight by their p-local type."""
+    """(groups, types): the Hermite forms of det p^weight by type, and each one's type.
+
+    Diagonals p^b in lexicographic order of b; offsets column by column.
+    """
+    cells = [(i, j) for j in range(n) for i in range(j)]
     groups: dict[tuple[int, ...], list[Matrix]] = {}
-    for b in _diagonal_types(n, weight):
+    types: dict[Matrix, tuple[int, ...]] = {}
+    for b in product(range(weight + 1), repeat=n):
+        if sum(b) != weight:
+            continue
         diag = [p**e for e in b]
-        ranges = []
-        for j in range(n):
-            for _ in range(j):
-                ranges.append(range(diag[j]))
-        for offs in product(*ranges):
+        for offs in product(*(range(diag[j]) for _, j in cells)):
             mat = [[0] * n for _ in range(n)]
-            idx = 0
-            for j in range(n):
-                mat[j][j] = diag[j]
-                for i in range(j):
-                    mat[i][j] = offs[idx]
-                    idx += 1
-            mt = tuple(tuple(row) for row in mat)
-            groups.setdefault(_p_local_type(mt, p, weight), []).append(mt)
-    return {k: tuple(v) for k, v in groups.items()}
-
-
-@lru_cache(maxsize=None)
-def _type_table(n: int, weight: int, p: int) -> dict[Matrix, tuple[int, ...]]:
-    """The type of every Hermite form of determinant p^weight, read from its group."""
-    return {m: t for t, ms in _decompose_weight(n, weight, p).items() for m in ms}
+            for j, d in enumerate(diag):
+                mat[j][j] = d
+            for (i, j), v in zip(cells, offs):
+                mat[i][j] = v
+            m = tuple(map(tuple, mat))
+            t = types[m] = _p_local_type(m, p, weight)
+            groups.setdefault(t, []).append(m)
+    return {t: tuple(ms) for t, ms in groups.items()}, types
 
 
 def _type(a: Partition, p: int) -> tuple[int, ...]:
@@ -197,12 +184,15 @@ def _type(a: Partition, p: int) -> tuple[int, ...]:
 
 def _reps(a: Partition, p: int) -> tuple[Matrix, ...]:
     """The Hermite forms of a's cosets, read from the cached enumeration."""
-    return _decompose_weight(a.n, a.weight, p).get(_type(a, p), ())
+    groups, _ = _decompose_weight(a.n, a.weight, p)
+    return groups.get(_type(a, p), ())
 
 
 def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> CosetList:
     """Complete list of Hermite-form left-coset representatives for a at p."""
     a = Partition(a)
+    if a.n < 1:
+        raise ValueError("rank must be >= 1")
     require_prime(p)
     budget = DEFAULT_BUDGET if budget is None else budget
     predicted = _candidate_count(a.n, a.weight, p)
@@ -274,12 +264,12 @@ def _tally(b: Partition, exps: tuple[int, ...], p: int) -> dict[tuple[int, ...],
     Each inverse x = p^{|b|}·y⁻¹ of _inverses_by_need gives an integral γ·y⁻¹
     exactly when exps ≥ its need componentwise, one comparison per group.
     An integral γ·y⁻¹ is upper triangular with positive diagonal, so its
-    Hermite form is one of the cached forms of its determinant, whose type
-    the table gives; the entry at a's type is the count for a.  The tally is
+    Hermite form is one of the cached forms of its determinant, typed when
+    it was listed; the entry at a's type is the count for a.  The tally is
     shared by every left factor and read-only.
     """
     d = p**b.weight
-    types = _type_table(b.n, sum(exps) - b.weight, p)
+    _, types = _decompose_weight(b.n, sum(exps) - b.weight, p)
     scale = [p**e for e in exps]
     tally: dict[tuple[int, ...], int] = {}
     for need, inverses in _inverses_by_need(b, p):

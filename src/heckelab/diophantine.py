@@ -405,11 +405,12 @@ def corollary_count_experiment(
 
 
 def fit_exponent(sizes, counts) -> float | None:
-    """Least-squares slope of log(count) against log(size); None if degenerate."""
+    """Least-squares slope of log(count) against log(size); None if degenerate,
+    when the sizes with a positive count take fewer than two distinct values."""
     import numpy as np
 
     pairs = [(s, c) for s, c in zip(sizes, counts) if c > 0]
-    if len(pairs) < 2:
+    if len({s for s, _ in pairs}) < 2:
         return None
     xs = np.log([float(s) for s, _ in pairs])
     ys = np.log([float(c) for _, c in pairs])
@@ -536,8 +537,10 @@ def deviation_at_most(gamma: Matrix, Q: QuadraticForm, delta) -> bool:
 
     Every scaled Gram entry scale*G_ij is an integer, so the test is that each
     lies in its _gram_window; no root is approximated.  Raises ValueError
-    when det(gamma) <= 0.
+    unless gamma is Q.n by Q.n, and when det(gamma) <= 0.
     """
+    if len(gamma) != Q.n or any(len(row) != Q.n for row in gamma):
+        raise ValueError(f"gamma must be {Q.n} by {Q.n}")
     return _gram_in_windows(gamma, Q, _gram_windows(Q, Fraction(delta), matrix_det(gamma)))
 
 

@@ -270,6 +270,11 @@ def test_duplicate_primes_rejected():
         amplifier_value(tabs, tabs)
 
 
+def test_empty_table_list_rejected():
+    with pytest.raises(ValueError, match="table"):
+        amplifier_value([], [])
+
+
 def test_prime_window_enforced():
     tabs = _tables(2, [101, 211])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -215,6 +216,29 @@ def test_decomposition_rejects_composite_p(p):
         coset_decomposition(Partition((1, 0)), p)
 
 
+def test_candidate_count_is_the_number_of_hermite_forms():
+    # the closed form [w + n − 1, n − 1]_p counts the sublattices of index p^w:
+    # the forms the pass lists, and the sum over diagonals p^b of the offset
+    # choices Π_j p^{j·b_j}; (4, 4, 3) and (3, 4, 5), with 925 771 and
+    # 508 431 forms, are left to the sum
+    listed = [(n, w, 2) for n in range(1, 5) for w in range(5)]
+    listed += [(n, w, 3) for n in range(1, 5) for w in range(5) if (n, w) != (4, 4)]
+    listed += [(n, w, 5) for n in range(1, 4) for w in range(4)]
+    for n, w, p in listed:
+        groups, types = cosets._decompose_weight(n, w, p)
+        assert cosets._candidate_count(n, w, p) == len(types)
+        assert sum(len(ms) for ms in groups.values()) == len(types)
+    for n in range(1, 7):
+        for w in range(7):
+            diagonals = [b for b in product(range(w + 1), repeat=n) if sum(b) == w]
+            for p in (2, 3, 5, 7, 101):
+                walk = sum(prod(p ** (j * e) for j, e in enumerate(b)) for b in diagonals)
+                assert cosets._candidate_count(n, w, p) == walk
+    # beyond enumeration: the rank-4 budgets at p = 5
+    assert cosets._candidate_count(4, 3, 5) == 2_558_556
+    assert cosets._candidate_count(4, 4, 5) == 320_327_931
+
+
 def test_budget_guard():
     with pytest.raises(CosetBudgetError):
         coset_decomposition(Partition((6, 0, 0, 0)), 101, budget=10**4)
@@ -361,8 +385,7 @@ def test_oracle_builds_each_tally_once(monkeypatch):
     # (right factor, target) tallies, and types come from the p-local routine
     smith = []
     monkeypatch.setattr(cosets, "elementary_divisors", lambda m: smith.append(m))
-    for cached in (cosets._decompose_weight, cosets._type_table,
-                   cosets._inverses_by_need, cosets._tally):
+    for cached in (cosets._decompose_weight, cosets._inverses_by_need, cosets._tally):
         cached.cache_clear()
     parts = [a for w in range(4) for a in enumerate_partitions(3, w)]
     for a in parts:
@@ -433,6 +456,13 @@ def test_oracle_rejects_mixed_ranks():
     # under python -O an assert let this return a mixed-rank tally
     with pytest.raises(ValueError):
         oracle_multiply((1, 0), (1, 0, 0), 2)
+
+
+def test_rank_zero_rejected():
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        coset_decomposition(Partition(()), 3)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        oracle_multiply((), (), 3)
 
 
 def test_oracle_budget():

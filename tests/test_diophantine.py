@@ -514,6 +514,10 @@ def test_ladder_rejects_a_form_of_another_rank():
 def test_ladder_exponent_fit():
     assert fit_exponent([10, 20, 40], [100, 400, 1600]) == pytest.approx(2.0)
     assert fit_exponent([10], [5]) is None
+    # fewer than two distinct sizes determine no line
+    assert fit_exponent([2, 2], [384, 384]) is None
+    assert fit_exponent([10, 10], [216, 252]) is None
+    assert fit_exponent([10, 10, 20], [216, 252, 0]) is None
     rep = corollary_count_ladder(3, 0, [6, 12, 24], seed=3)
     assert rep.exponent_fit is not None
     assert rep.count == sum(row["count"] for row in rep.notes["ladder"])
@@ -534,6 +538,15 @@ def test_matrix_deviation_examples():
         assert not deviation_at_most(gamma, q, dev - JUST_BELOW)
     with pytest.raises(ValueError):
         deviation_at_most(((0, 1), (1, 0)), I2, 1)  # negative determinant
+
+
+def test_deviation_rejects_wrong_shape():
+    # unchecked, rows of the wrong length are zipped short and can pass
+    identity4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    with pytest.raises(ValueError, match="3 by 3"):
+        deviation_at_most(identity4, I3, 0)
+    with pytest.raises(ValueError):
+        deviation_at_most(((1, 0, 0), (0, 1, 0)), I3, 0)
 
 
 def test_deviation_gate_exact_and_irrational():
