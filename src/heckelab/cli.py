@@ -73,6 +73,8 @@ def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
                 rows = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read Q file {source[5:]!r}: {exc.strerror}") from exc
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"Q file {source[5:]!r} must hold a list of rows")
         return QuadraticForm(tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
     raise ValueError(f"unknown Q source {source!r}")
 
@@ -124,6 +126,7 @@ def cmd_satake(args) -> int:
         "checks": {
             "support_dominance": rep.support_dominance_ok,
             "support_lex": rep.support_lex_ok,
+            "symmetric": rep.symmetric_ok,
             "leading_is_one": rep.leading_is_one,
             "denominators_are_p_powers": rep.denominators_ok,
         },

@@ -16,6 +16,10 @@ Shell points under linear conditions (integer windows g_lo <= v . y <= g_hi)
 are generated, not filtered: the enumeration runs on a unimodular basis in
 which each independent window bounds one outer coordinate.
 
+The binary count |P(x, y)| < delta runs on the same enumerator: P is
+homogenized into a positive-definite ternary form, and the window z = 1
+picks its shell points over the plane of P.
+
 The matrix search builds matrices column by column.  Each column k starts
 from a pool of points of its quadratic shell; fixing a column filters every
 later pool by the Gram window against it and by the congruences forcing
@@ -45,7 +49,7 @@ from itertools import combinations, product
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 
-from .linalg import column_echelon, gram_schmidt, lll, matrix_det
+from .linalg import column_echelon, gram_schmidt, lll, matrix_det, require_prime
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -92,6 +96,8 @@ class QuadraticForm:
     @classmethod
     def random_spd(cls, n: int, seed: int) -> "QuadraticForm":
         """Seed-deterministic integer SPD form with condition number at most 16."""
+        if n < 1:
+            raise ValueError("form must be square, of rank at least 1")
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -186,32 +192,21 @@ class QuadPoly2:
         return QuadPoly2(self.c, self.b, self.a, self.e, self.d, self.f)
 
 
-def _square_below(k: Fraction, h: Fraction, bound: Fraction) -> range:
-    """The integers z with (k z + h)^2 < bound, for rational k > 0."""
-    scale = lcm(k.denominator, h.denominator)
-    kz, hz = int(k * scale), int(h * scale)
-    # an integer square is below bound * scale^2 iff it is at most top
-    top = ceil(bound * scale * scale) - 1
-    if top < 0:
-        return range(0)
-    s = isqrt(top)
-    return range(-((s + hz) // kz), (s - hz) // kz + 1)
-
-
 # lembp_count refuses a quadratic part with |discriminant| below this floor
 MIN_DISC = Fraction(1, 100)
 
 
 def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountReport:
-    """Exact count of integer pairs with |P(x, y)| < delta.
+    """Exact count of the integer pairs with |P(x, y)| < delta; witnesses sorted.
 
-    Completing the square on the positive-definite quadratic part bounds
-    each coordinate exactly: P(x, y) < delta has a real solution y iff
-    (D x - B)^2 < B^2 + D C, with D = 4ac - b^2, B = be - 2cd and
-    C = e^2 - 4c(f - delta), and then y satisfies
-    (2c y + bx + e)^2 < (bx + e)^2 - 4c(ax^2 + dx + f - delta).  Every pair
-    in those ranges is tested exactly.  The echoed box is the largest |x|
-    or |y| tested, 0 when none is.
+    P is homogenized and counted on the shell enumerator.  With q the
+    quadratic part, D = 4ac - b^2 and (x0, y0) = ((be - 2cd)/D, (bd - 2ae)/D)
+    the critical point of P, let F = q(x0, y0) + 1 and M(x, y, z) = q(x, y)
+    + dxz + eyz + Fz^2, which is q((x, y) - z(x0, y0)) + z^2 and so
+    positive definite.  Then P(x, y) = M(x, y, 1) - F + f, so the pairs are
+    the points of M's shell F - f - delta < M < F - f + delta with z = 1.
+    The values of M lie in Z / M.scale, so the strict bounds are the closed
+    ones one step of 1 / M.scale inside.
     """
     t0 = time.perf_counter()
     delta = Fraction(delta)
@@ -220,29 +215,25 @@ def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountRe
     if abs(P.discriminant) < MIN_DISC:
         raise ValueError("discriminant below configured floor")
     a, b, c, d, e, f = P.a, P.b, P.c, P.d, P.e, P.f
-    D, B, C = -P.discriminant, b * e - 2 * c * d, e * e - 4 * c * (f - delta)
-    count = 0
-    box = 0
-    witnesses = [] if collect_witnesses else None
-    for x in _square_below(D, -B, B * B + D * C):
-        lin = b * x + e
-        ys = _square_below(2 * c, lin, lin * lin - 4 * c * (a * x * x + d * x + f - delta))
-        if ys:
-            box = max(box, abs(x), -ys[0], ys[-1])
-        for y in ys:
-            if abs(P(x, y)) < delta:
-                count += 1
-                if collect_witnesses:
-                    witnesses.append(((x, y),))
+    D = -P.discriminant
+    x0, y0 = (b * e - 2 * c * d) / D, (b * d - 2 * a * e) / D
+    F = a * x0 * x0 + b * x0 * y0 + c * y0 * y0 + 1
+    M = QuadraticForm(((a, b / 2, d / 2), (b / 2, c, e / 2), (d / 2, e / 2, F)))
+    s = M.scale
+    lo = Fraction(floor((F - f - delta) * s) + 1, s)
+    hi = Fraction(ceil((F - f + delta) * s) - 1, s)
+    pairs = [
+        ((x, y),)
+        for x, y, _ in quadratic_shell_points(M, lo, hi, windows=[((0, 0, 1), 1, 1)])
+    ]
     return CountReport(
         parameters={
             "kind": "binary_quadratic",
             "coefficients": [str(getattr(P, k)) for k in "abcdef"],
             "delta": str(delta),
-            "box": box,
         },
-        count=count,
-        witnesses=witnesses,
+        count=len(pairs),
+        witnesses=pairs if collect_witnesses else None,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -919,6 +910,8 @@ def scaling_experiment(
         raise ValueError("the scaling ladder is a rank-4 experiment")
     if nu < 1:
         raise ValueError("the similitude exponent nu must be at least 1")
+    for p in primes:
+        require_prime(p)
     ladder = []
     counts = []
     sizes = []

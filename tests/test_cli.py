@@ -153,15 +153,27 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
     (("count", "--mode", "corollary", "--n", "3", "--k", "0", "--x", "4", "--q", "file:{form_2x2}"),
      "Q has rank 2, not n = 3"),
     (("count", "--mode", "scaling", "--nu", "0"), "nu must be at least 1"),
+    (("count", "--mode", "corollary", "--n", "0", "--q", "random"), "rank at least 1"),
+    (("count", "--mode", "sdelta", "--n", "0", "--m", "1", "--l", "1", "--q", "random"),
+     "rank at least 1"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "file:{scalar}"),
+     "must hold a list of rows"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "file:{flat}"),
+     "must hold a list of rows"),
+    (("count", "--mode", "scaling", "--ladder", "4,6"), "p must be a prime"),
 ], ids=["composite-p", "zero-p", "composite-ladder", "sdelta-m-zero", "delta-abc",
         "unknown-q", "amplifier-n-zero", "lem2-j-negative", "lem2-n-one",
         "multiply-rank-mismatch", "corollary-x-zero", "corollary-k-above-n",
-        "corollary-n-zero", "corollary-q-rank", "scaling-nu-zero"])
+        "corollary-n-zero", "corollary-q-rank", "scaling-nu-zero",
+        "corollary-random-n-zero", "sdelta-random-n-zero", "q-file-scalar",
+        "q-file-flat-list", "scaling-composite-ladder"])
 def test_invalid_values_are_usage_errors(tmp_path, capsys, argv, message):
-    form = tmp_path / "form_2x2.json"
-    form.write_text(json.dumps([[1, 0], [0, 1]]))
+    files = {"form_2x2": [[1, 0], [0, 1]], "scalar": 5, "flat": [1, 2]}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    paths = {name: tmp_path / f"{name}.json" for name in files}
     with pytest.raises(SystemExit) as exc:
-        main([arg.format(form_2x2=form) for arg in argv])
+        main([arg.format(**paths) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -291,3 +303,4 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["scaled_coefficients"]["(1, 1)"] == "2/3"
+    assert payload["checks"]["symmetric"] is True

@@ -294,7 +294,16 @@ def lembp_scan_spec(P, delta):
     lin = abs(P.d) + abs(P.e)
     radius = (lin + Fraction(isqrt(ceil(lin**2 + 4 * lo * (abs(P.f) + delta))) + 1)) / (2 * lo)
     R = floor(radius) + 1
-    return [((x, y),) for x in range(-R, R + 1) for y in range(-R, R + 1) if abs(P(x, y)) < delta]
+    # |P| < delta, tested on L*P and L*delta with L clearing every denominator
+    L = lcm(delta.denominator, *(getattr(P, k).denominator for k in "abcdef"))
+    a, b, c, d, e, f = (int(getattr(P, k) * L) for k in "abcdef")
+    bound = int(delta * L)
+    return [
+        ((x, y),)
+        for x in range(-R, R + 1)
+        for y in range(-R, R + 1)
+        if abs(a * x * x + b * x * y + c * y * y + d * x + e * y + f) < bound
+    ]
 
 
 @given(
@@ -313,7 +322,18 @@ def test_lembp_ranges_keep_every_witness(a, b, c, d, e, f, delta):
     rep = lembp_count(P, delta, collect_witnesses=True)
     assert rep.witnesses == lembp_scan_spec(P, delta)
     assert rep.count == len(rep.witnesses)
-    assert all(max(abs(x), abs(y)) <= rep.parameters["box"] for ((x, y),) in rep.witnesses)
+
+
+def test_lembp_counts_a_large_circle_and_a_skewed_ellipse():
+    # only the annulus 10^6 - 1/2 < x^2 + y^2 < 10^6 + 1/2 is searched, not its disk
+    assert lembp_count(QuadPoly2(1, 0, 1, 0, 0, -10**6), Fraction(1, 2)).count == (
+        sum_two_squares_count(10**6)
+    )
+    # discriminant -399/10000: the ellipse's axes differ by a factor of about 20
+    skewed = QuadPoly2(1, Fraction(199, 100), 1, 0, 0, -400)
+    rep = lembp_count(skewed, Fraction(1, 2), collect_witnesses=True)
+    assert rep.count == 54
+    assert rep.witnesses == lembp_scan_spec(skewed, Fraction(1, 2))
 
 
 def test_lembp_rejects_indefinite():
@@ -905,6 +925,11 @@ def test_report_serialization_roundtrip():
 def test_scaling_experiment_requires_rank_four():
     with pytest.raises(ValueError):
         scaling_experiment(I3, 1, [2])
+
+
+def test_scaling_experiment_requires_prime_ladder():
+    with pytest.raises(ValueError, match="p must be a prime"):
+        scaling_experiment(QuadraticForm.identity(4), 1, [4, 6])
 
 
 def test_scaling_experiment_single_rung():
