@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .linalg import solve
 from .partitions import Partition, weight_partitions
-from .satake import satake_image, trivial_point
-from .sympoly import n_weight, scaled_product
+from .satake import monomial_coefficients, satake_image, trivial_point
+from .sympoly import evaluate, n_weight, scaled_product
 from .hecke import HeckeElement, multiply, upper_generator
 
 
@@ -177,6 +177,13 @@ def amplifier_coefficients(n: int, p: int, verify: bool = True) -> AmplifierSyst
 # -- eigenvalue tables and the detector ----------------------------------------
 
 
+def _generator_images_at(n: int, p: int, point) -> dict:
+    """j -> the image of diag(p^j, 1, ..., 1) evaluated at the point, j = 1..n."""
+    return {j: evaluate(monomial_coefficients(satake_image(Partition((j,) + (0,) * (n - 1)), p),
+                                              image=True), point)
+            for j in range(1, n + 1)}
+
+
 @dataclass(frozen=True)
 class EigenvalueTable:
     """Eigenvalues of the operators diag(p^j, 1, ..., 1) for j = 1..n."""
@@ -200,23 +207,13 @@ class EigenvalueTable:
             prod *= a
         if abs(prod - 1) > tol:
             raise ValueError("satake parameters must have product 1")
-        point = [p ** ((n + 1) / 2) * a for a in alpha]
-        lam = {
-            j: satake_image(Partition((j,) + (0,) * (n - 1)), p).poly.evaluate(point)
-            for j in range(1, n + 1)
-        }
+        lam = _generator_images_at(n, p, [p ** ((n + 1) / 2) * a for a in alpha])
         return cls(n=n, p=p, lam=lam, alpha=alpha)
 
     @classmethod
     def trivial(cls, n: int, p: int) -> "EigenvalueTable":
         """Table of the trivial representation: eigenvalues are coset degrees."""
-        point = trivial_point(n, p)
-        lam = {
-            j: complex(
-                satake_image(Partition((j,) + (0,) * (n - 1)), p).poly.evaluate(point)
-            )
-            for j in range(1, n + 1)
-        }
+        lam = {j: complex(v) for j, v in _generator_images_at(n, p, trivial_point(n, p)).items()}
         alpha = tuple(complex(p ** ((n + 1 - 2 * i) / 2)) for i in range(1, n + 1))
         return cls(n=n, p=p, lam=lam, alpha=alpha)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .linalg import require_prime
 from .partitions import Partition, enumerate_partitions, verify_cholesky, weight_partitions
-from .satake import degree_via_satake, satake_image, verify_basic
+from .satake import degree_via_satake, matches_alternant, verify_basic
 from .cosets import DEFAULT_BUDGET, CosetBudgetError, coset_decomposition, oracle_multiply
 from .hecke import multiply_generators, verify_lem2
 from .amplifier import amplifier_coefficients
@@ -53,12 +53,20 @@ def _parse_primes(text: str) -> list[int]:
     return [_parse_prime(x) for x in text.split(",")]
 
 
+def _rational(text: str) -> Fraction:
+    """The Fraction that text spells; ValueError (a usage error) if it spells none."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+
+
 def _parse_fraction(text: str) -> str:
     """Check that text is a rational literal; it stays text so reports echo it as given."""
     try:
-        Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        _rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return text
 
 
@@ -75,7 +83,7 @@ def _parse_q(source: str, n: int, seed: int) -> QuadraticForm:
             raise ValueError(f"cannot read Q file {source[5:]!r}: {exc.strerror}") from exc
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError(f"Q file {source[5:]!r} must hold a list of rows")
-        return QuadraticForm(tuple(tuple(Fraction(str(x)) for x in row) for row in rows))
+        return QuadraticForm(tuple(tuple(_rational(str(x)) for x in row) for row in rows))
     raise ValueError(f"unknown Q source {source!r}")
 
 
@@ -116,12 +124,11 @@ def _emit(args, payload: dict, ladder_rows: list[dict] | None = None) -> None:
 
 
 def cmd_satake(args) -> int:
-    img = satake_image(args.a, args.p)
     rep = verify_basic(args.a, args.p)
     _emit(args, {
         "partition": list(args.a),
         "p": args.p,
-        "scaled_coefficients": {str(k): str(v) for k, v in sorted(img.scaled.terms.items())},
+        "scaled_coefficients": {str(k): str(v) for k, v in sorted(rep.coefficients.items())},
         "v_weight": args.a.v_weight(),
         "checks": {
             "support_dominance": rep.support_dominance_ok,
@@ -226,7 +233,7 @@ def cmd_count(args) -> int:
 
 def _count_report(args):
     if args.mode == "lembp":
-        a, b, c, d, e, f = (Fraction(x) for x in args.poly.split(","))
+        a, b, c, d, e, f = (_rational(x) for x in args.poly.split(","))
         return lembp_count(QuadPoly2(a, b, c, d, e, f), Fraction(args.delta))
     if args.mode == "corollary":
         q = _parse_q(args.q, args.n, args.seed)
@@ -252,8 +259,8 @@ def cmd_verify(args) -> int:
         record(f"gram_factorization_n{n}", verify_cholesky(n).success)
     for n, p in ((2, 3), (3, 2)):
         for a in weight_partitions(n):
-            rep = verify_basic(a, p)
-            record(f"satake_basic_n{n}_p{p}_{tuple(a)}", rep.ok)
+            record(f"satake_basic_n{n}_p{p}_{tuple(a)}", verify_basic(a, p).ok)
+            record(f"satake_alternant_n{n}_p{p}_{tuple(a)}", matches_alternant(a, p))
     # at n = 2 both generators are (1, 0), so every pair of weight <= 2 is checked
     low = [a for w in range(3) for a in enumerate_partitions(2, w)]
     for n, p, factors in ((2, 2, low), (2, 3, low), (3, 2, [(1, 0, 0), (1, 1, 0)])):

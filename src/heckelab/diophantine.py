@@ -188,9 +188,6 @@ class QuadPoly2:
     def discriminant(self) -> Fraction:
         return self.b**2 - 4 * self.a * self.c
 
-    def swapped(self) -> "QuadPoly2":
-        return QuadPoly2(self.c, self.b, self.a, self.e, self.d, self.f)
-
 
 # lembp_count refuses a quadratic part with |discriminant| below this floor
 MIN_DISC = Fraction(1, 100)

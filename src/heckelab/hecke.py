@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import Partition
-from .sympoly import SymPoly, scaled_product
+from .sympoly import scaled_product
 from .satake import satake_image
 
 
@@ -94,20 +94,9 @@ class HeckeElement:
             out[b] = out.get(b, 0) + c
         return HeckeElement(self.n, self.p, out)
 
-    def operator_equal(self, other: "HeckeElement") -> bool:
-        return self.reduced().terms == other.reduced().terms
-
     def __repr__(self):
         bits = [f"{c}*T{tuple(a)}" for a, c in sorted(self.terms.items())]
         return f"HeckeElement(p={self.p}: " + (" + ".join(bits) or "0") + ")"
-
-
-def satake_of_element(e: HeckeElement) -> SymPoly:
-    """Satake image: the sum of coefficients times images."""
-    total = SymPoly.zero(e.n)
-    for a, c in e.terms.items():
-        total = total + satake_image(a, e.p).poly.scale(c)
-    return total
 
 
 def _integral_image(e: HeckeElement) -> dict:

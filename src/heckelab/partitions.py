@@ -3,7 +3,7 @@
 A partition here is a non-increasing tuple of n non-negative integers
 (trailing zeros allowed, so the rank n is part of the data).  tableau_sum,
 the weighted horizontal-strip recursion of Macdonald III (5.8'), (5.11'),
-gives Kostka numbers, Schur polynomials and Satake images; the recursion
+gives Kostka numbers (the Schur coefficients) and Satake images; the recursion
 builds each sum once as an integer polynomial in t and evaluates it at
 each t asked for.  The module
 also builds the two matrices attached to the set of weight-n partitions:
@@ -74,20 +74,6 @@ def enumerate_partitions(n: int, total: int) -> list[Partition]:
 
     rec((), total, total, n)
     return [Partition(p) for p in sorted(out)]
-
-
-def count_partitions(total: int, max_parts: int) -> int:
-    """Number of partitions of total into at most max_parts parts (direct recursion)."""
-
-    @lru_cache(maxsize=None)
-    def rec(t: int, largest: int, slots: int) -> int:
-        if t == 0:
-            return 1
-        if slots == 0:
-            return 0
-        return sum(rec(t - k, k, slots - 1) for k in range(1, min(largest, t) + 1))
-
-    return rec(total, total, max_parts)
 
 
 def dominance_leq(a, b) -> bool:

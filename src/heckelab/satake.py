@@ -6,8 +6,8 @@ double-coset operator T_a attached to diag(p^{a_1}, ..., p^{a_n}) is
     p^{-v(a)} * P_a(x; 1/p),
 
 with v(a) = sum_j j a_j and P_a the Hall-Littlewood polynomial, computed
-by the tableau formula of Macdonald III (5.8'), (5.11').  The tests hold
-it to the defining form
+by the tableau formula of Macdonald III (5.8'), (5.11').  The tests and
+matches_alternant hold it to the defining form
 
     P_a(x; t) = 1/v_a(t) * sum_sigma sigma( x^a prod_{i<j} (x_i - t x_j)/(x_i - x_j) ),
     1/v_a(t) = (1 - t)^n * prod_i prod_{j=1..k_i} (1 - t^j)^{-1},
@@ -19,17 +19,24 @@ comes from a tableau polynomial sum_k c_k t^k of degree at most n(b) - n(a),
 so it is an integer (Macdonald III (3.6), II (4.3)).  T_a -> R_a, the Satake
 map followed by x -> p x, is a ring homomorphism.  Each R_a is checked for
 weight |a|, coefficient 1 at a and that degree bound.
+
+R_a is the only stored form.  monomial_coefficients is the one conversion
+to P_a(x; 1/p), or to the image itself, on the monomial basis m_b, and
+sympoly.evaluate the one evaluator: degrees at the trivial point, the
+support checks of verify_basic, the alternant check and the Schur limit
+all read them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .linalg import require_prime
 from .partitions import Partition, _tableau_sum, dominance_leq, enumerate_partitions
-from .sympoly import SymPoly, denominators_are_powers_of, n_weight, schur
+from .sympoly import _orbit, denominators_are_powers_of, evaluate, n_weight, symmetrize_alternant
 
 
 @dataclass(frozen=True)
@@ -38,15 +45,14 @@ class SatakeImage:
     p: int
     integral: dict[tuple[int, ...], int]  # R_a on the basis m'_b = p^{-n(b)} m_b
 
-    @cached_property
-    def scaled(self) -> SymPoly:  # p^{v(a)} times the image, P_a(x; 1/p)
-        base = n_weight(self.a)
-        return SymPoly(self.a.n, {b: Fraction(c, self.p ** (n_weight(b) - base))
-                                  for b, c in self.integral.items()})
 
-    @cached_property
-    def poly(self) -> SymPoly:  # the image itself
-        return self.scaled.scale(Fraction(1, self.p ** self.a.v_weight()))
+def monomial_coefficients(img: SatakeImage, image: bool = False) -> dict[tuple[int, ...], Fraction]:
+    """P_a(x; 1/p) on the monomial basis: b -> R_a[b] p^{n(a) - n(b)}.
+
+    With image=True, the image p^{-v(a)} P_a(x; 1/p) itself.
+    """
+    base = n_weight(img.a) - (img.a.v_weight() if image else 0)
+    return {b: Fraction(c, img.p ** (n_weight(b) - base)) for b, c in img.integral.items()}
 
 
 @lru_cache(maxsize=None)
@@ -115,37 +121,49 @@ def verify_basic(a: Partition, p: int) -> BasicReport:
     both are read in non-increasing order).
     """
     a = Partition(a)
-    img = satake_image(a, p)
-    support = sorted(img.scaled.terms)
-    dom_ok = all(dominance_leq(b, a) for b in support)
-    lex_ok = all(tuple(b) <= tuple(a) for b in support)
-    dense = img.scaled.expanded()
+    coefficients = monomial_coefficients(satake_image(a, p))
+    support = sorted(coefficients)
+    dense = {mono: c for b, c in coefficients.items() for mono in _orbit(b)}
     swap = (1, 0) + tuple(range(2, a.n)) if a.n >= 2 else (0,)
-    sym_ok = all(
-        dense.get(tuple(k[i] for i in swap), None) == c for k, c in dense.items()
-    )
     return BasicReport(
         a=a,
         p=p,
-        support_dominance_ok=dom_ok,
-        support_lex_ok=lex_ok,
-        leading_is_one=img.scaled.coefficient(a) == 1,
-        symmetric_ok=sym_ok,
-        denominators_ok=denominators_are_powers_of(img.scaled, p),
-        coefficients=dict(img.scaled.terms),
+        support_dominance_ok=all(dominance_leq(b, a) for b in support),
+        support_lex_ok=all(tuple(b) <= tuple(a) for b in support),
+        leading_is_one=coefficients.get(tuple(a)) == 1,
+        symmetric_ok=all(dense.get(tuple(k[i] for i in swap)) == c for k, c in dense.items()),
+        denominators_ok=denominators_are_powers_of(coefficients, p),
+        coefficients=coefficients,
     )
+
+
+def matches_alternant(a: Partition, p: int) -> bool:
+    """Whether v_a(1/p) P_a(x; 1/p), read off R_a, equals symmetrize_alternant(a, 1/p).
+
+    The alternant is computed by Vandermonde division, with no tableau, so
+    this checks R_a by a second route.  v_a(t) is the product over the
+    multiplicities k of the entries of a of prod_{j=1..k} (1 - t^j)/(1 - t).
+    """
+    a = Partition(a)
+    t = Fraction(1, p)
+    v = Fraction(1)
+    for k in Counter(a).values():
+        for j in range(1, k + 1):
+            v *= (1 - t**j) / (1 - t)
+    scaled = monomial_coefficients(satake_image(a, p))
+    return symmetrize_alternant(a, t).terms == {b: c * v for b, c in scaled.items()}
 
 
 def schur_limit_defect(a: Partition, p: int) -> Fraction:
     """Largest absolute coefficient of (scaled image minus the Schur polynomial).
 
-    Scales like 1/p as p grows.
+    The Schur coefficients are the Kostka numbers, the t^0 coefficients of
+    the same tableau polynomials.  Scales like 1/p as p grows.
     """
     a = Partition(a)
-    diff = satake_image(a, p).scaled - schur(a)
-    if not diff.terms:
-        return Fraction(0)
-    return max(abs(c) for c in diff.terms.values())
+    table = _tableau_polynomials(a)
+    scaled = monomial_coefficients(satake_image(a, p))
+    return max((abs(c - table[b][0]) for b, c in scaled.items()), default=Fraction(0))
 
 
 def trivial_point(n: int, p: int) -> tuple[Fraction, ...]:
@@ -156,7 +174,7 @@ def trivial_point(n: int, p: int) -> tuple[Fraction, ...]:
 def degree_via_satake(a: Partition, p: int) -> int:
     """Coset degree of the operator, read off the image at the trivial point."""
     a = Partition(a)
-    value = satake_image(a, p).poly.evaluate(trivial_point(a.n, p))
+    value = evaluate(monomial_coefficients(satake_image(a, p), image=True), trivial_point(a.n, p))
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral degree {value} for {a}, p={p}")
     return value.numerator

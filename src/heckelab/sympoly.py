@@ -1,24 +1,28 @@
-"""Exact symmetric Laurent polynomials in n variables.
+"""Symmetric Laurent polynomials in n variables, as orbit-keyed dicts.
 
-A SymPoly stores one coefficient per S_n-orbit of exponent vectors, keyed
-by the orbit's non-increasing representative; coefficients are Fractions.
-The module supplies the monomial symmetric basis, exact multiplication,
-and the Hall-Littlewood polynomials P_a(x; t) by the tableau formula of
-Macdonald, Symmetric Functions and Hall Polynomials, III (5.11'), with
-strip weights (5.8'); at t = 0 they are the Schur polynomials.
+A polynomial holds one coefficient per S_n-orbit of exponent vectors, keyed
+by the orbit's non-increasing representative k, so it is a dict on the
+monomial basis m_k.  Two functions serve every production reader:
 
-scaled_product multiplies on the basis m'_k = p^(-n(k)) m_k, n(k) = sum (i-1) k_i:
-if m_a * m_b = sum_c N_c m_c (Macdonald I §2), then m'_a * m'_b is sum_c N_c
-p^(n(c) - n(a) - n(b)) m'_c, an exponent >= 0 since c = sort(a + sigma b) is
-dominated by a + b and n reverses dominance, so ints stay ints.  N_c and the
-exponent depend only on the keys: _monomial_product builds each key pair's
-table once for every prime, and SymPoly.__mul__ is the case p = 1.  The alternant
+- scaled_product multiplies on the basis m'_k = p^(-n(k)) m_k, n(k) = sum
+  (i-1) k_i: if m_a * m_b = sum_c N_c m_c (Macdonald I §2), then m'_a * m'_b
+  is sum_c N_c p^(n(c) - n(a) - n(b)) m'_c, an exponent >= 0 since
+  c = sort(a + sigma b) is dominated by a + b and n reverses dominance, so
+  ints stay ints.  N_c and the exponent depend only on the keys:
+  _monomial_product builds each key pair's table once for every prime.
+- evaluate sums coefficient times m_k(point) over the orbits, exactly for
+  rational points.
+
+SymPoly (Fraction coefficients, SymPoly.__mul__ the case p = 1) and the
+alternant
 
     sum over sigma of  sigma( x^a * prod_{i<j} (x_i - t x_j) / (x_i - x_j) ),
 
-which is v_a(t) P_a(x; t), is kept only as the spec reference for tests:
-its numerator is expanded as an alternating polynomial and divided by the
-Vandermonde factor by factor with a zero-remainder check at every step.
+which is v_a(t) P_a(x; t), are the spec route: the alternant's numerator is
+expanded as an alternating polynomial and divided by the Vandermonde factor
+by factor with a zero-remainder check at every step, with no tableau.  The
+tests and `heckelab verify` hold the Satake images to it, and perfbench's
+tracer wraps both.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import combinations, permutations
 from math import factorial
 from operator import add
 
-from .partitions import Partition, dominance_leq, enumerate_partitions, tableau_sum
+from .partitions import Partition
 
 
 @lru_cache(maxsize=None)
@@ -95,6 +99,23 @@ def scaled_product(f: dict, g: dict, p: int) -> dict:
             for key, count, shift in _monomial_product(key_a, key_b):
                 out[key] = out.get(key, 0) + c * count * p**shift
     return {k: c for k, c in out.items() if c}
+
+
+def evaluate(terms: dict, point):
+    """Value of sum_k terms[k] m_k at a point, each m_k summed over _orbit(k):
+    exact for int and Fraction coordinates, in complex floats otherwise."""
+    point = [Fraction(x) if isinstance(x, int) else x for x in point]
+    exact = all(isinstance(x, Fraction) for x in point)
+    total = Fraction(0) if exact else 0
+    for key, coeff in terms.items():
+        if len(key) != len(point):
+            raise ValueError(f"point has {len(point)} coordinates, not {len(key)}")
+        for mono in _orbit(key):
+            term = coeff if exact else complex(coeff)
+            for x, e in zip(point, mono):
+                term = term * x**e
+            total += term
+    return total
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
@@ -206,62 +227,11 @@ class SymPoly:
         p.terms = scaled_product(self.terms, other.terms, 1)
         return p
 
-    # -- views -------------------------------------------------------------
-
-    def coefficient(self, exponents) -> Fraction:
-        """Coefficient of the monomial with the given exponent vector."""
-        return self.terms.get(tuple(sorted(exponents, reverse=True)), Fraction(0))
-
-    def expanded(self) -> dict[tuple[int, ...], Fraction]:
-        """Dense monomial -> coefficient dict over every orbit element."""
-        dense = {}
-        for key, coeff in self.terms.items():
-            for mono in _orbit(key):
-                dense[mono] = coeff
-        return dense
-
-    def evaluate(self, point):
-        """Evaluate at a point (exact for int/Fraction inputs, numeric otherwise)."""
-        if len(point) != self.n:
-            raise ValueError(f"point has {len(point)} coordinates, not {self.n}")
-        point = [Fraction(x) if isinstance(x, int) else x for x in point]
-        exact = all(isinstance(x, Fraction) for x in point)
-        total = Fraction(0) if exact else 0
-        for key, coeff in self.terms.items():
-            for mono in _orbit(key):
-                term = coeff if exact else complex(coeff)
-                for x, e in zip(point, mono):
-                    term = term * x**e
-                total += term
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "SymPoly(0)"
         bits = [f"{c}*m{k}" for k, c in sorted(self.terms.items(), reverse=True)]
         return "SymPoly(" + " + ".join(bits) + ")"
-
-
-def monomial_symmetric(a: Partition) -> SymPoly:
-    """Sum of x^b over the distinct permutations b of a."""
-    a = Partition(a)
-    return SymPoly(a.n, {tuple(a): Fraction(1)})
-
-
-def hall_littlewood_p(a: Partition, t) -> SymPoly:
-    """Hall-Littlewood polynomial P_a(x_1, ..., x_n; t) by the tableau formula (5.11').
-
-    The coefficient of m_b, for b dominated by a, is tableau_sum(a, b, t).
-    """
-    a = Partition(a)
-    dominated = [b for b in enumerate_partitions(a.n, a.weight) if dominance_leq(b, a)]
-    return SymPoly(a.n, {tuple(b): tableau_sum(a, b, t) for b in dominated})
-
-
-@lru_cache(maxsize=None)
-def schur(a: Partition) -> SymPoly:
-    """Schur polynomial s_a = P_a(x; 0): Kostka numbers times monomial symmetric functions."""
-    return hall_littlewood_p(a, 0)
 
 
 # -- dense (non-symmetric) helpers used by the alternant machinery ----------
@@ -369,9 +339,9 @@ def symmetrize_alternant(a: Partition, t) -> SymPoly:
     return SymPoly.from_expanded(n, quotient)
 
 
-def denominators_are_powers_of(poly: SymPoly, p: int) -> bool:
-    """True iff every coefficient lies in Z[1/p]."""
-    for coeff in poly.terms.values():
+def denominators_are_powers_of(terms: dict, p: int) -> bool:
+    """True iff every coefficient of the dict lies in Z[1/p]."""
+    for coeff in terms.values():
         den = coeff.denominator
         while den % p == 0:
             den //= p

@@ -161,14 +161,20 @@ def test_count_missing_mode_options_is_a_usage_error(capsys, argv, needs):
     (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "file:{flat}"),
      "must hold a list of rows"),
     (("count", "--mode", "scaling", "--ladder", "4,6"), "p must be a prime"),
+    (("count", "--mode", "lembp", "--poly", "1,0,1,0,0,1/0", "--delta", "1"),
+     "not a rational number: '1/0'"),
+    (("count", "--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--q", "file:{zero_den}"),
+     "not a rational number: '1/0'"),
 ], ids=["composite-p", "zero-p", "composite-ladder", "sdelta-m-zero", "delta-abc",
         "unknown-q", "amplifier-n-zero", "lem2-j-negative", "lem2-n-one",
         "multiply-rank-mismatch", "corollary-x-zero", "corollary-k-above-n",
         "corollary-n-zero", "corollary-q-rank", "scaling-nu-zero",
         "corollary-random-n-zero", "sdelta-random-n-zero", "q-file-scalar",
-        "q-file-flat-list", "scaling-composite-ladder"])
+        "q-file-flat-list", "scaling-composite-ladder", "lembp-poly-zero-denominator",
+        "q-file-zero-denominator"])
 def test_invalid_values_are_usage_errors(tmp_path, capsys, argv, message):
-    files = {"form_2x2": [[1, 0], [0, 1]], "scalar": 5, "flat": [1, 2]}
+    files = {"form_2x2": [[1, 0], [0, 1]], "scalar": 5, "flat": [1, 2],
+             "zero_den": [[1, 0], [0, "1/0"]]}
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
     paths = {name: tmp_path / f"{name}.json" for name in files}
@@ -248,6 +254,50 @@ def test_verify_fails_on_the_lem2_functional_equation(monkeypatch, capsys):
     assert code == 1
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
     assert failed == ["lem2_n3_j1_p2"]
+
+
+def test_verify_fails_on_a_shifted_image_coefficient(monkeypatch, capsys):
+    # R_(2,1,0) at p = 2 with its m'_(1,1,1) coefficient shifted by one keeps
+    # its support, lead, symmetry and p-power denominators, so only the
+    # alternant route can tell
+    from heckelab import satake
+
+    honest = satake.satake_image
+
+    def shifted(a, p):
+        img = honest(a, p)
+        if (tuple(a), p) != ((2, 1, 0), 2):
+            return img
+        integral = {**img.integral, (1, 1, 1): img.integral[(1, 1, 1)] + 1}
+        return satake.SatakeImage(a=img.a, p=p, integral=integral)
+
+    monkeypatch.setattr(satake, "satake_image", shifted)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert not checks["satake_alternant_n3_p2_(2, 1, 0)"]
+    basic = [name for name in checks if name.startswith("satake_basic_")]
+    assert len(basic) == 5 and all(checks[name] for name in basic)
+
+
+def test_satake_readers_do_not_name_the_spec_polynomials():
+    # the production readers take every view of R_a from
+    # satake.monomial_coefficients and sympoly.evaluate; SymPoly and the
+    # tableau-formula polynomials are the spec route
+    banned = {"SymPoly", "hall_littlewood_p", "schur"}
+    for name in ("satake.py", "hecke.py", "amplifier.py", "cli.py"):
+        tree = ast.parse((SRC / "heckelab" / name).read_text(), filename=name)
+        named = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update({node.name, node.asname})
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+        assert not named & banned, f"{name} names {sorted(named & banned)}"
 
 
 def test_verify_holds_without_assert_statements():

@@ -281,9 +281,14 @@ def test_lembp_hexagonal_units():
     assert lembp_count(QuadPoly2(1, 1, 1, 0, 0, -1), Fraction(1, 2)).count == 6
 
 
+def swapped(P: QuadPoly2) -> QuadPoly2:
+    """P with x and y exchanged."""
+    return QuadPoly2(P.c, P.b, P.a, P.e, P.d, P.f)
+
+
 def test_lembp_swap_symmetry():
     p = QuadPoly2(2, 1, 3, Fraction(1, 2), -1, -20)
-    assert lembp_count(p, Fraction(3, 4)).count == lembp_count(p.swapped(), Fraction(3, 4)).count
+    assert lembp_count(p, Fraction(3, 4)).count == lembp_count(swapped(p), Fraction(3, 4)).count
 
 
 def lembp_scan_spec(P, delta):

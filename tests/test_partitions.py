@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -11,7 +12,6 @@ from heckelab.partitions import (
     Partition,
     contingency_count,
     contingency_matrix,
-    count_partitions,
     dominance_leq,
     enumerate_partitions,
     kostka_matrix,
@@ -23,6 +23,20 @@ from heckelab.partitions import (
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def count_partitions(total: int, max_parts: int) -> int:
+    """Number of partitions of total into at most max_parts parts (direct recursion)."""
+
+    @lru_cache(maxsize=None)
+    def rec(t: int, largest: int, slots: int) -> int:
+        if t == 0:
+            return 1
+        if slots == 0:
+            return 0
+        return sum(rec(t - k, k, slots - 1) for k in range(1, min(largest, t) + 1))
+
+    return rec(total, total, max_parts)
 
 
 def ssyt_count_oracle(shape, content):
