@@ -46,10 +46,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, fsum, gcd, isqrt, lcm, log
 from operator import mul
 
-from .linalg import column_echelon, gram_schmidt, lll, matrix_det, require_prime
+from .linalg import column_echelon, condition_at_most, gram_schmidt, lll, matrix_det, require_prime
+from .seeded import Generator
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -95,18 +96,21 @@ class QuadraticForm:
 
     @classmethod
     def random_spd(cls, n: int, seed: int) -> "QuadraticForm":
-        """Seed-deterministic integer SPD form with condition number at most 16."""
+        """Seed-deterministic integer SPD form with condition number at most 16:
+        the first q = b^T b + s I, from numpy's default_rng(seed) draws of b in
+        [-2, 3) and s in [1, 4), that passes the exact condition_at_most(q, 16),
+        which eliminates an n^2-by-n^2 integer matrix (fine for n <= 6)."""
         if n < 1:
             raise ValueError("form must be square, of rank at least 1")
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        rng = Generator(seed)
         while True:
-            b = rng.integers(-2, 3, size=(n, n))
-            q = b.T @ b + np.eye(n, dtype=int) * int(rng.integers(1, 4))
-            w = np.linalg.eigvalsh(q.astype(float))
-            if w[0] > 0 and w[-1] / w[0] <= 16:
-                return cls(tuple(tuple(Fraction(int(x)) for x in row) for row in q))
+            b = rng.integers(-2, 3, n * n)  # row-major, so column i is b[i::n]
+            s = rng.integers(1, 4)
+            cols = [b[i::n] for i in range(n)]
+            q = [[sum(map(mul, u, v)) + s * (i == j) for j, v in enumerate(cols)]
+                 for i, u in enumerate(cols)]
+            if condition_at_most(q, 16):
+                return cls(q)
 
     def apply(self, x, y) -> Fraction:
         """Exact value of x^T Q y."""
@@ -393,17 +397,18 @@ def corollary_count_experiment(
 
 
 def fit_exponent(sizes, counts) -> float | None:
-    """Least-squares slope of log(count) against log(size); None if degenerate,
-    when the sizes with a positive count take fewer than two distinct values."""
-    import numpy as np
-
+    """Least-squares slope of y = log(count) against x = log(size),
+    sum (x - mean x)(y - mean y) / sum (x - mean x)^2, over the positive
+    counts; None if degenerate, when their sizes take fewer than two
+    distinct values.  y is shifted by the first log(count), which leaves
+    the slope alone and makes it exactly 0 on constant counts."""
     pairs = [(s, c) for s, c in zip(sizes, counts) if c > 0]
     if len({s for s, _ in pairs}) < 2:
         return None
-    xs = np.log([float(s) for s, _ in pairs])
-    ys = np.log([float(c) for _, c in pairs])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [log(s) for s, _ in pairs]
+    ys = [log(c) - log(pairs[0][1]) for _, c in pairs]
+    mx, my = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    return fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / fsum((x - mx) ** 2 for x in xs)
 
 
 def corollary_count_ladder(
@@ -422,8 +427,6 @@ def corollary_count_ladder(
     representation numbers; the constraint values q are read off random
     integer vectors of size about X.
     """
-    import numpy as np
-
     if not 0 <= k <= n - 2:
         raise ValueError("need 0 <= k <= n - 2")
     if any(X < 1 for X in Xs):
@@ -432,7 +435,7 @@ def corollary_count_ladder(
     Q = QuadraticForm.random_spd(n, seed) if Q is None else Q
     if Q.n != n:
         raise ValueError(f"Q has rank {Q.n}, not n = {n}")
-    rng = np.random.default_rng(seed + 1)
+    rng = Generator(seed + 1)
     counts = []
     ladder = []
     for X in Xs:
@@ -440,11 +443,8 @@ def corollary_count_ladder(
         rung = 0
         for _ in range(repeats):
             while True:
-                ystar = tuple(int(v) for v in rng.integers(-X // 2, X // 2 + 1, size=n))
-                xs = [
-                    tuple(int(v) for v in rng.integers(-X // 2, X // 2 + 1, size=n))
-                    for _ in range(k)
-                ]
+                ystar = tuple(rng.integers(-X // 2, X // 2 + 1, n))
+                xs = [tuple(rng.integers(-X // 2, X // 2 + 1, n)) for _ in range(k)]
                 gram = [[sum(a * b for a, b in zip(x, z)) for z in xs] for x in xs]
                 if k == 0 or matrix_det(gram) != 0:
                     if any(ystar):

@@ -8,7 +8,9 @@ first and forms each solution entry as one Fraction at the end.  gram_schmidt
 gives the leading principal minors d_i of an integer Gram matrix and the
 integers d_(j+1) mu_ij by exact divisions: the completed squares of its form
 and the start of lll.  It stops at the first d_i <= 0, so by Sylvester's
-criterion it certifies positive definiteness.
+criterion it certifies positive definiteness.  positive_semidefinite runs a
+symmetric fraction-free elimination that drops zero rows, and
+condition_at_most decides lambda_max <= bound * lambda_min with it, exactly.
 column_echelon brings an integer matrix to column echelon form by
 unimodular column operations (extended gcd), the basis change behind
 enumerating lattice points under linear windows, and lll reduces a
@@ -106,6 +108,36 @@ def gram_schmidt(gram) -> tuple[list[int], list[list[int]]] | None:
         if d[i + 1] <= 0:
             return None
     return d, lam
+
+
+def positive_semidefinite(m) -> bool:
+    """Whether the symmetric integer matrix m is positive semidefinite, by
+    fraction-free elimination (Bareiss: each entry is a minor on the kept
+    pivots, so divisions are exact).  A negative pivot fails; a zero pivot
+    needs a zero row, which is dropped, as a positive semidefinite matrix
+    vanishes on the row and column of a zero diagonal entry."""
+    a, prev = [list(row) for row in m], 1
+    while a:
+        (d, *top), *rest = a
+        if d < 0 or (d == 0 and any(top)):
+            return False
+        if d:
+            a = [[(d * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rest]
+            prev = d
+        else:
+            a = [row[1:] for row in rest]
+    return True
+
+
+def condition_at_most(q, bound: int) -> bool:
+    """lambda_max <= bound * lambda_min for the positive-definite integer q,
+    exactly: bound*(I (x) q) - q (x) I has the eigenvalues bound*lambda_j -
+    lambda_i, so it is positive semidefinite (fine for n <= 6)."""
+    n = len(q)
+    return positive_semidefinite([
+        [bound * q[i][j] * (a == b) - q[a][b] * (i == j) for b in range(n) for j in range(n)]
+        for a in range(n) for i in range(n)
+    ])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

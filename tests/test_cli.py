@@ -317,7 +317,7 @@ def test_verify_holds_without_assert_statements():
     assert json.loads(proc.stdout)["verdict"] == "PASS"
 
 
-# exact counts on a given form draw nothing at random and fit nothing
+# the exact counts on a given form, with numpy importable but never imported
 COUNTS_WITHOUT_NUMPY = """
 import sys
 from fractions import Fraction
@@ -332,19 +332,62 @@ print('numpy' in sys.modules)
 """
 
 
+# every subcommand, each count mode, seeded draws and exponent fits
+# included, with numpy made unimportable
+EVERY_COMMAND_WITHOUT_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from heckelab.cli import main
+for argv in (
+    ["satake", "--a", "2,0", "--p", "3"],
+    ["multiply", "--p", "3", "--a", "1,0", "--b", "1,0"],
+    ["cosets", "--a", "1,0", "--p", "3"],
+    ["amplifier", "--n", "2", "--p", "5"],
+    ["lem2", "--n", "2", "--j", "1", "--ladder", "2,3"],
+    ["count", "--mode", "lembp", "--poly", "1,0,1,0,0,-25", "--delta", "1/2"],
+    ["count", "--mode", "corollary", "--n", "4", "--k", "1", "--ladder", "4,6"],
+    ["count", "--mode", "corollary", "--n", "3", "--ladder", "4,6", "--q", "random", "--seed", "3"],
+    ["count", "--mode", "sdelta", "--n", "3", "--m", "4", "--l", "2", "--q", "random",
+     "--delta", "1"],
+    ["count", "--mode", "scaling", "--q", "random", "--ladder", "2,3", "--delta", "1/3"],
+    ["verify"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv} exited {code}")
+print(False)
+"""
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only by the functions that use it (seeded draws and
-    # exponent fits), so commands such as multiply, cosets and amplifier,
-    # and the exact counts on a given form, start without paying for it
+    # the package does not use numpy: importing the CLI and the exact counts
+    # leave it unloaded, and every subcommand runs where it cannot be imported
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for script in ("import sys, heckelab.cli; print('numpy' in sys.modules)",
-                   COUNTS_WITHOUT_NUMPY):
+                   COUNTS_WITHOUT_NUMPY, EVERY_COMMAND_WITHOUT_NUMPY):
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def test_negative_seed(capsys):
+    # the seeded form rejects it with numpy's message; an identity-form
+    # ladder draws its targets from seed + 1 = 0 and runs
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--mode", "corollary", "--n", "3", "--ladder", "4,6", "--q", "random",
+              "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("heckelab: error: expected non-negative integer\n")
+    code, out = run(capsys, "count", "--mode", "corollary", "--n", "3", "--ladder", "4,6",
+                    "--seed", "-1")
+    assert code == 0
+    assert json.loads(out)["report"]["notes"]["ladder"] == [
+        {"X": 4, "count": 86}, {"X": 6, "count": 120}
+    ]
 
 
 def test_output_file(tmp_path, capsys):

@@ -265,6 +265,41 @@ def test_random_spd_deterministic():
     assert QuadraticForm.random_spd(4, seed=9) == QuadraticForm.random_spd(4, seed=9)
 
 
+def numpy_random_spd(n, seed):
+    """The draws of random_spd made by numpy, accepted by the float test."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    while True:
+        b = rng.integers(-2, 3, size=(n, n))
+        q = b.T @ b + np.eye(n, dtype=int) * int(rng.integers(1, 4))
+        w = np.linalg.eigvalsh(q.astype(float))
+        if w[-1] / w[0] <= 16:
+            return tuple(tuple(int(x) for x in row) for row in q)
+
+
+def test_random_spd_draws_numpys_forms():
+    for n in (1, 2, 3, 4, 5):
+        for seed in range(40):
+            assert QuadraticForm.random_spd(n, seed).scaled == numpy_random_spd(n, seed), (n, seed)
+
+
+def test_random_spd_accepts_condition_16_ties():
+    # condition number exactly 16; the float ratio of eigvalsh lies just
+    # above 16, so the float test rejected these draws and drew on
+    for seed, form in (
+        (423, ((10, 3, -6, 0), (3, 6, -2, 2), (-6, -2, 6, -2), (0, 2, -2, 6))),
+        (2534, ((8, -4, 8, 0), (-4, 18, -8, 8), (8, -8, 18, -4), (0, 8, -4, 8))),
+    ):
+        assert QuadraticForm.random_spd(4, seed).scaled == form
+        assert numpy_random_spd(4, seed) != form
+
+
+def test_random_spd_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        QuadraticForm.random_spd(3, -1)
+
+
 # -- binary quadratic counting --------------------------------------------------------
 
 
@@ -543,6 +578,9 @@ def test_ladder_exponent_fit():
     assert fit_exponent([2, 2], [384, 384]) is None
     assert fit_exponent([10, 10], [216, 252]) is None
     assert fit_exponent([10, 10, 20], [216, 252, 0]) is None
+    # the closed form gives exactly 0 on constant counts
+    assert fit_exponent([10, 20, 30, 40], [5, 5, 5, 5]) == 0.0
+    assert fit_exponent([2, 3, 5, 7, 11], [7, 7, 7, 7, 7]) == 0.0
     rep = corollary_count_ladder(3, 0, [6, 12, 24], seed=3)
     assert rep.exponent_fit is not None
     assert rep.count == sum(row["count"] for row in rep.notes["ladder"])
@@ -764,6 +802,51 @@ def test_small_cases_match_brute_force():
     ):
         rep = enumerate_S_delta(q, m, l, delta)
         assert rep.witnesses == brute_force_S_delta(q, m, l, delta, box), (q, m, l)
+
+
+def entry_box(q: QuadraticForm, m: int, delta: Fraction) -> int:
+    """The largest B with B^2 <= A m^(2/n), A = max_k (Q_kk + delta) max_i (Q^-1)_ii.
+
+    A column y of a matrix in S_delta has y^T Q y <= (Q_kk + delta) m^(2/n)
+    and y_i^2 <= (y^T Q y) (Q^-1)_ii, so B bounds every entry; B^2 <= A
+    m^(2/n) reads B^(2n) <= A^n m^2 in rationals.
+    """
+    n = q.n
+    _, inv = solve(q.entries, [[int(i == j) for j in range(n)] for i in range(n)])
+    bound = (max(q.entries[k][k] for k in range(n)) + delta) * max(inv[i][i] for i in range(n))
+    box = 0
+    while (box + 1) ** (2 * n) <= bound**n * m * m:
+        box += 1
+    return box
+
+
+@st.composite
+def small_s_delta_cases(draw):
+    """(Q, m, l, delta, box) at n = 2, 3 with the exact entry_box at most 2
+    (at most 1 at n = 3, where box 2 brute-forces 5^9 matrices)."""
+    n = draw(st.sampled_from([2, 3]))
+    offs = st.sampled_from([Fraction(k, d) for d in (1, 2, 3) for k in range(-d, d + 1)])
+    diag = [draw(st.sampled_from([1, Fraction(3, 2), 2, 3])) for _ in range(n)]
+    off = {(i, j): draw(offs) for i, j in combinations(range(n), 2)}
+    rows = [[diag[i] if i == j else off[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    try:
+        q = QuadraticForm(rows)
+    except ValueError:  # not positive definite
+        assume(False)
+    delta = draw(st.sampled_from([Fraction(1, 10**6), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    limit = 2 if n == 2 else 1
+    ms = [m for m in range(1, 17) if entry_box(q, m, delta) <= limit]
+    assume(ms)
+    m = draw(st.sampled_from(ms))
+    l = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    return q, m, l, delta, entry_box(q, m, delta)
+
+
+@given(small_s_delta_cases())
+@settings(max_examples=80, deadline=None)
+def test_s_delta_matches_brute_force_on_drawn_forms(case):
+    q, m, l, delta, box = case
+    assert enumerate_S_delta(q, m, l, delta).witnesses == brute_force_S_delta(q, m, l, delta, box)
 
 
 @pytest.mark.parametrize("q,m,l,delta,prefixes,count,rejections", [

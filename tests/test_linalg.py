@@ -1,9 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 from operator import mul
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from heckelab import linalg
@@ -163,6 +163,46 @@ def test_gram_schmidt_certifies_positive_definite(q, y):
         assert sum(Fraction(t[i] ** 2, d[i] * d[i + 1]) for i in range(n)) == sum(
             y[i] * q[i][j] * y[j] for i in range(n) for j in range(n)
         )
+
+
+@st.composite
+def gram_plus_diagonal(draw, max_n=5):
+    """b^T b + D with b k-by-n, k <= n, and D diagonal in [-1, 1]: positive
+    semidefinite of any rank, or indefinite by a little."""
+    n = draw(st.integers(1, max_n))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=n))
+    shift = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    return [
+        [sum(r[i] * r[j] for r in b) + shift[i] * (i == j) for j in range(n)] for i in range(n)
+    ]
+
+
+@given(gram_plus_diagonal())
+@example([[0, 1], [1, 0]])  # a zero pivot on a nonzero row
+@example([[0, 0], [0, 1]])  # a zero row is dropped
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 5]])  # the second pivot is 0, its row is not
+@example([[1, 1, 1], [1, 1, 1], [1, 1, 2]])  # the second pivot is 0 and its row too
+def test_positive_semidefinite_matches_principal_minors(m):
+    # a symmetric matrix is positive semidefinite exactly when every
+    # principal minor is >= 0
+    n = len(m)
+    minors = [
+        leibniz_det([[m[i][j] for j in rows] for i in rows])
+        for k in range(1, n + 1)
+        for rows in combinations(range(n), k)
+    ]
+    assert linalg.positive_semidefinite(m) == all(x >= 0 for x in minors)
+
+
+@given(gram_plus_diagonal(), st.integers(2, 4), st.sampled_from([1, 3, 16, 50]))
+def test_condition_at_most_matches_eigvalsh(m, s, bound):
+    import numpy as np
+
+    # + s I with s >= 2 makes q positive definite
+    q = [[x + s * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    w = np.linalg.eigvalsh(np.array(q, dtype=float))
+    assume(abs(w[-1] / w[0] - bound) > 1e-9)
+    assert linalg.condition_at_most(q, bound) == (w[-1] / w[0] <= bound)
 
 
 def rank(rows) -> int:
