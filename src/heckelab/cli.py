@@ -234,10 +234,12 @@ def cmd_count(args) -> int:
 def _count_report(args):
     if args.mode == "lembp":
         a, b, c, d, e, f = (_rational(x) for x in args.poly.split(","))
-        return lembp_count(QuadPoly2(a, b, c, d, e, f), Fraction(args.delta))
+        return lembp_count(QuadPoly2(a, b, c, d, e, f), Fraction(args.delta),
+                           collect_witnesses=bool(args.witness_file))
     if args.mode == "corollary":
         q = _parse_q(args.q, args.n, args.seed)
-        return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed, Q=q)
+        return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed,
+                                      delta=args.delta, Q=q)
     if args.mode == "sdelta":
         q = _parse_q(args.q, args.n, args.seed)
         return enumerate_S_delta(
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--l", type=int)
     sp.add_argument("--nu", type=int, default=1)
-    sp.add_argument("--delta", type=_parse_fraction, default="1e-6")
+    sp.add_argument("--delta", type=_parse_fraction, help="default 1e-6, corollary 1/X^4")
     sp.add_argument("--q", default="identity", help="identity | random | file:PATH")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ladder", type=lambda s: [int(x) for x in s.split(",")])
@@ -357,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the count options each mode cannot run without
+# the count options each mode cannot run without, and the modes with no witnesses
 REQUIRED_BY_MODE = {"lembp": ("poly",), "sdelta": ("m", "l")}
+WITNESSLESS_MODES = ("corollary", "scaling")
 
 
 def main(argv=None) -> int:
@@ -369,6 +372,10 @@ def main(argv=None) -> int:
         missing = [f"--{k}" for k in needed if getattr(args, k) is None]
         if missing:
             parser.error(f"--mode {args.mode} needs {' and '.join(missing)}")
+        if args.witness_file and args.mode in WITNESSLESS_MODES:
+            parser.error(f"--mode {args.mode} takes no --witness-file")
+        if args.delta is None and args.mode != "corollary":
+            args.delta = "1e-6"
     try:
         return args.func(args)
     except ValueError as exc:

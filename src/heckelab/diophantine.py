@@ -193,10 +193,6 @@ class QuadPoly2:
         return self.b**2 - 4 * self.a * self.c
 
 
-# lembp_count refuses a quadratic part with |discriminant| below this floor
-MIN_DISC = Fraction(1, 100)
-
-
 def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountReport:
     """Exact count of the integer pairs with |P(x, y)| < delta; witnesses sorted.
 
@@ -213,8 +209,6 @@ def lembp_count(P: QuadPoly2, delta, collect_witnesses: bool = False) -> CountRe
     delta = Fraction(delta)
     if P.a <= 0 or P.discriminant >= 0:
         raise ValueError("quadratic part must be positive definite")
-    if abs(P.discriminant) < MIN_DISC:
-        raise ValueError("discriminant below configured floor")
     a, b, c, d, e, f = P.a, P.b, P.c, P.d, P.e, P.f
     D = -P.discriminant
     x0, y0 = (b * e - 2 * c * d) / D, (b * d - 2 * a * e) / D
@@ -425,7 +419,8 @@ def corollary_count_ladder(
     For each X several target points are planted (so every count is positive)
     and the counts summed, smoothing out the arithmetic fluctuation of single
     representation numbers; the constraint values q are read off random
-    integer vectors of size about X.
+    integer vectors of size about X.  Every rung counts with delta = 1/X^4
+    unless a delta is given, which then serves every rung.
     """
     if not 0 <= k <= n - 2:
         raise ValueError("need 0 <= k <= n - 2")
@@ -461,6 +456,7 @@ def corollary_count_ladder(
             "k": k,
             "Xs": list(Xs),
             "seed": seed,
+            "delta": None if delta is None else str(Fraction(delta)),
             "Q": Q.digest(),
         },
         count=sum(counts),

@@ -140,9 +140,10 @@ def verify_basic(a: Partition, p: int) -> BasicReport:
 def matches_alternant(a: Partition, p: int) -> bool:
     """Whether v_a(1/p) P_a(x; 1/p), read off R_a, equals symmetrize_alternant(a, 1/p).
 
-    The alternant is computed by Vandermonde division, with no tableau, so
-    this checks R_a by a second route.  v_a(t) is the product over the
-    multiplicities k of the entries of a of prod_{j=1..k} (1 - t^j)/(1 - t).
+    The alternant is one exact integer division by the Vandermonde
+    determinant, with no tableau and no R_a, so this checks R_a by a second
+    route.  v_a(t) is the product over the multiplicities k of the entries
+    of a of prod_{j=1..k} (1 - t^j)/(1 - t).
     """
     a = Partition(a)
     t = Fraction(1, p)

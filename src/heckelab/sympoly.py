@@ -19,10 +19,10 @@ alternant
     sum over sigma of  sigma( x^a * prod_{i<j} (x_i - t x_j) / (x_i - x_j) ),
 
 which is v_a(t) P_a(x; t), are the spec route: the alternant's numerator is
-expanded as an alternating polynomial and divided by the Vandermonde factor
-by factor with a zero-remainder check at every step, with no tableau.  The
-tests and `heckelab verify` hold the Satake images to it, and perfbench's
-tracer wraps both.
+expanded in integers as an alternating polynomial and divided once by the
+Vandermonde determinant, with a zero-remainder check, with no tableau and no
+R_a.  The tests and `heckelab verify` hold the Satake images to it, and
+perfbench's tracer wraps both.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from operator import add
 
 from .partitions import Partition
@@ -116,23 +116,6 @@ def evaluate(terms: dict, point):
                 term = term * x**e
             total += term
     return total
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class SymPoly:
@@ -234,109 +217,62 @@ class SymPoly:
         return "SymPoly(" + " + ".join(bits) + ")"
 
 
-# -- dense (non-symmetric) helpers used by the alternant machinery ----------
-
-
-def _dense_mul_monomial(dense, mono, coeff):
+def _alternate(poly: dict, n: int) -> dict:
+    """sum_sigma sgn(sigma) sigma(poly) for an int polynomial in n variables,
+    the sign read off the inversion count; zero terms dropped."""
     out = {}
-    for key, c in dense.items():
-        e = tuple(x + y for x, y in zip(key, mono))
-        out[e] = c * coeff
-    return out
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(x > y for x, y in combinations(perm, 2))
+        for key, c in poly.items():
+            e = tuple(key[k] for k in perm)
+            out[e] = out.get(e, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
 
 
-def _dense_add_into(acc, dense):
-    for key, c in dense.items():
-        s = acc.get(key, Fraction(0)) + c
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
-
-
-def _product_factors(n: int, t: Fraction) -> dict[tuple[int, ...], Fraction]:
-    """Expansion of prod_{i<j} (x_i - t*x_j) as a dense dict."""
-    pairs = list(combinations(range(n), 2))
-    acc = {(0,) * n: Fraction(1)}
-    for i, j in pairs:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for key, c in acc.items():
-            ei = list(key)
-            ei[i] += 1
-            _dense_add_into(out, {tuple(ei): c})
-            ej = list(key)
-            ej[j] += 1
-            _dense_add_into(out, {tuple(ej): -t * c})
-        acc = out
-    return acc
-
-
-def _divide_linear(dense, i: int, j: int):
-    """Exact division of a dense polynomial by (x_i - x_j).
-
-    Treats the polynomial as univariate in x_i with coefficients in the
-    remaining variables.  Raises ArithmeticError on a nonzero remainder.
-    """
-    # group by x_i degree
-    by_deg: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for key, c in dense.items():
-        d = key[i]
-        stripped = key[:i] + (0,) + key[i + 1 :]
-        by_deg.setdefault(d, {})[stripped] = c
-    if not by_deg:
-        return {}
-    top = max(by_deg)
-    quotient_levels: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    carry: dict[tuple[int, ...], Fraction] = {}
-    # synthetic division: q_{k-1} = c_k + x_j * q_k, descending k
-    for k in range(top, 0, -1):
-        level = dict(by_deg.get(k, {}))
-        _dense_add_into(level, carry)
-        quotient_levels[k - 1] = level
-        shift = [0] * len(next(iter(dense)))
-        shift[j] = 1
-        carry = _dense_mul_monomial(level, tuple(shift), Fraction(1))
-    # matching the x_i-free terms: c_0 = -x_j q_0 + r, so r = c_0 + x_j q_0
-    remainder = dict(by_deg.get(0, {}))
-    _dense_add_into(remainder, carry)
-    if any(remainder.values()):
-        raise ArithmeticError("nonzero remainder dividing by Vandermonde factor")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for k, level in quotient_levels.items():
-        for key, c in level.items():
-            e = key[:i] + (k,) + key[i + 1 :]
-            if c:
-                out[e] = c
-    return out
+def _divide_by_vandermonde(numerator: dict, n: int) -> dict:
+    """Exact quotient of an int polynomial by V = sum_sigma sgn(sigma) x^(sigma delta),
+    delta = (n-1, ..., 0), peeling the lex-largest monomial of the residual
+    against V's leading term x^delta; ArithmeticError when x^delta does not
+    divide it, which means a nonzero remainder."""
+    delta = tuple(range(n - 1, -1, -1))
+    vandermonde = _alternate({delta: 1}, n).items()
+    residual = {k: c for k, c in numerator.items() if c}
+    quotient = {}
+    while residual:
+        lead, c = max(residual.items())  # keys are distinct, so this is the lex-largest
+        shift = tuple(x - d for x, d in zip(lead, delta))
+        if any(x < 0 for x in shift):
+            raise ArithmeticError("nonzero remainder dividing by the Vandermonde determinant")
+        quotient[shift] = c
+        for mono, sign in vandermonde:
+            e = tuple(map(add, shift, mono))
+            if r := residual.get(e, 0) - sign * c:
+                residual[e] = r
+            else:
+                del residual[e]
+    return quotient
 
 
 def symmetrize_alternant(a: Partition, t) -> SymPoly:
     """The S_n sum of sigma(x^a * prod_{i<j} (x_i - t x_j)/(x_i - x_j)).
 
-    Computed exactly: the alternating numerator
-    sum_sigma sgn(sigma) sigma(x^a prod (x_i - t x_j)) is expanded and then
-    divided by prod_{i<j} (x_i - x_j) one factor at a time.
+    Computed exactly in integers, with t = u/v: the alternating numerator
+    sum_sigma sgn(sigma) sigma(x^a prod_{i<j} (v x_i - u x_j)) is divided
+    once by the Vandermonde determinant, and the quotient by v^C(n, 2).
     """
     a = Partition(a)
-    n = a.n
-    t = Fraction(t)
-    base = _product_factors(n, t)
-    numerator: dict[tuple[int, ...], Fraction] = {}
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        # apply sigma to x^a * prod: permute variable indices of every monomial
-        shift = [0] * n
-        for pos, var in enumerate(perm):
-            shift[var] += a[pos]
+    u, v = Fraction(t).as_integer_ratio()
+    base = {tuple(a): 1}
+    for i, j in combinations(range(a.n), 2):
+        step = {}
         for key, c in base.items():
-            e = list(shift)
-            for pos, var in enumerate(perm):
-                e[var] += key[pos]
-            _dense_add_into(numerator, {tuple(e): sign * c})
-    quotient = numerator
-    for i, j in combinations(range(n), 2):
-        quotient = _divide_linear(quotient, i, j)
-    return SymPoly.from_expanded(n, quotient)
+            for var, w in ((i, v), (j, -u)):
+                e = key[:var] + (key[var] + 1,) + key[var + 1:]
+                step[e] = step.get(e, 0) + w * c
+        base = step
+    quotient = _divide_by_vandermonde(_alternate(base, a.n), a.n)
+    scale = v ** comb(a.n, 2)
+    return SymPoly.from_expanded(a.n, {k: Fraction(c, scale) for k, c in quotient.items()})
 
 
 def denominators_are_powers_of(terms: dict, p: int) -> bool:

@@ -98,6 +98,40 @@ def test_count_sdelta_sign_matrix_witnesses(tmp_path, capsys):
     assert all(all(abs(x) == 1 for x in w) for w in payload["witnesses"])
 
 
+def test_count_lembp_witness_file(tmp_path, capsys):
+    path = tmp_path / "witnesses.json"
+    code, _ = run(capsys, "count", "--mode", "lembp", "--poly", "1,0,1,0,0,-25",
+                  "--delta", "1/2", "--witness-file", str(path))
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["count"] == 12
+    assert [3, 4] in payload["witnesses"] and [-5, 0] in payload["witnesses"]
+
+
+@pytest.mark.parametrize("mode", ["corollary", "scaling"])
+def test_witness_file_is_a_usage_error_where_there_are_no_witnesses(tmp_path, capsys, mode):
+    path = tmp_path / "witnesses.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--mode", mode, "--ladder", "2", "--witness-file", str(path)])
+    assert exc.value.code == 2
+    assert f"--mode {mode} takes no --witness-file" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_count_corollary_uses_the_given_delta(capsys):
+    argv = ("count", "--mode", "corollary", "--n", "3", "--k", "0", "--ladder", "4,6")
+    _, out = run(capsys, *argv)
+    report = json.loads(out)["report"]
+    # without --delta every rung counts at 1/X^4, and the config echoes no delta
+    assert [r["count"] for r in report["notes"]["ladder"]] == [68, 64]
+    assert report["parameters"]["delta"] is None
+    assert "delta" not in json.loads(out)["config"]
+    _, out = run(capsys, *argv, "--delta", "1/2")
+    report = json.loads(out)["report"]
+    assert [r["count"] for r in report["notes"]["ladder"]] == [992, 2931]
+    assert report["parameters"]["delta"] == "1/2"
+
+
 def test_count_corollary_with_file_form(tmp_path, capsys):
     qpath = tmp_path / "form.json"
     qpath.write_text(json.dumps([[2, 1], [1, 3]]))
@@ -280,12 +314,23 @@ def test_verify_fails_on_a_shifted_image_coefficient(monkeypatch, capsys):
     assert len(basic) == 5 and all(checks[name] for name in basic)
 
 
-def test_satake_readers_do_not_name_the_spec_polynomials():
+SPEC_POLYNOMIALS = {"SymPoly", "hall_littlewood_p", "schur"}
+TABLEAU_ROUTE = {"tableau_sum", "_tableau_sum", "_tableau_polynomials", "satake_image"}
+BANNED_NAMES = [
     # the production readers take every view of R_a from
     # satake.monomial_coefficients and sympoly.evaluate; SymPoly and the
     # tableau-formula polynomials are the spec route
-    banned = {"SymPoly", "hall_littlewood_p", "schur"}
-    for name in ("satake.py", "hecke.py", "amplifier.py", "cli.py"):
+    ("satake.py", SPEC_POLYNOMIALS),
+    ("hecke.py", SPEC_POLYNOMIALS),
+    ("amplifier.py", SPEC_POLYNOMIALS),
+    ("cli.py", SPEC_POLYNOMIALS),
+    # the alternant is the second route to the images, so it reads no tableau
+    ("sympoly.py", TABLEAU_ROUTE),
+]
+
+
+def test_modules_do_not_name_the_other_route():
+    for name, banned in BANNED_NAMES:
         tree = ast.parse((SRC / "heckelab" / name).read_text(), filename=name)
         named = set()
         for node in ast.walk(tree):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
 from heckelab.diophantine import (
-    MIN_DISC,
     QuadPoly2,
     QuadraticForm,
     _extend_minors,
@@ -332,7 +331,10 @@ def lembp_scan_spec(P, delta):
     lo (x^2 + y^2) <= P - dx - ey - f < delta + (|d| + |e|) R + |f|."""
     lo, _ = eigen_bounds(QuadraticForm(((P.a, P.b / 2), (P.b / 2, P.c))))
     lin = abs(P.d) + abs(P.e)
-    radius = (lin + Fraction(isqrt(ceil(lin**2 + 4 * lo * (abs(P.f) + delta))) + 1)) / (2 * lo)
+    # sqrt(w) < (isqrt(ceil(w s^2)) + 1) / s; s >= 1/lo keeps the excess below 1/2
+    s = ceil(1 / lo)
+    w = lin**2 + 4 * lo * (abs(P.f) + delta)
+    radius = (lin + Fraction(isqrt(ceil(w * s * s)) + 1, s)) / (2 * lo)
     R = floor(radius) + 1
     # |P| < delta, tested on L*P and L*delta with L clearing every denominator
     L = lcm(delta.denominator, *(getattr(P, k).denominator for k in "abcdef"))
@@ -355,10 +357,12 @@ def lembp_scan_spec(P, delta):
 )
 # x^2 < 25 + 1/16 puts (4x)^2 one below the bound 401 at x = +-5
 @example(1, 0, 1, Fraction(0), Fraction(0), Fraction(-25), Fraction(1, 16))
+# discriminant -3999/10^6: a nearly degenerate ellipse, refused by the old floor 1/100
+@example(1, Fraction(1999, 1000), 1, Fraction(0), Fraction(0), Fraction(-5), Fraction(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_lembp_ranges_keep_every_witness(a, b, c, d, e, f, delta):
     P = QuadPoly2(a, b, c, d, e, f)
-    assume(P.discriminant <= -MIN_DISC)
+    assume(P.discriminant < 0)
     rep = lembp_count(P, delta, collect_witnesses=True)
     assert rep.witnesses == lembp_scan_spec(P, delta)
     assert rep.count == len(rep.witnesses)

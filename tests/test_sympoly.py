@@ -190,21 +190,32 @@ def v_factor(a, t):
 
 
 @pytest.mark.parametrize(
-    "ranks, primes, expected_cases",
-    [((1, 2, 3, 4), (2, 3, 5), 156), ((5,), (2, 7), 38)],
+    "ranks, ts, expected_cases",
+    [
+        # t = u/v = -3/4: a numerator u that is neither 1 nor positive
+        ((1, 2, 3, 4), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(-3, 4)), 208),
+        ((5,), (Fraction(1, 2), Fraction(1, 7)), 38),
+    ],
     ids=("n1-4", "n5"),
 )
-def test_hall_littlewood_matches_alternant_spec(ranks, primes, expected_cases):
+def test_hall_littlewood_matches_alternant_spec(ranks, ts, expected_cases):
     cases = 0
     for n in ranks:
         for total in range(0, 6):
             for a in enumerate_partitions(n, total):
-                for p in primes:
-                    t = Fraction(1, p)
+                for t in ts:
                     spec = symmetrize_alternant(a, t)
-                    assert hall_littlewood_p(a, t).scale(v_factor(a, t)) == spec, (a, p)
+                    assert hall_littlewood_p(a, t).scale(v_factor(a, t)) == spec, (a, t)
                     cases += 1
     assert cases == expected_cases
+
+
+def test_vandermonde_division_refuses_a_nonzero_remainder():
+    # x_1 is not alternating, so V = x_1 - x_2 does not divide it
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        sympoly._divide_by_vandermonde({(1, 0): 1}, 2)
+    # x_1^2 x_2 - x_1 x_2^2 = x_1 x_2 (x_1 - x_2) is, and divides exactly
+    assert sympoly._divide_by_vandermonde({(2, 1): 1, (1, 2): -1}, 2) == {(1, 1): 1}
 
 
 def test_hall_littlewood_hand_coefficient():
