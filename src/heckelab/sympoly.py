@@ -20,8 +20,8 @@ alternant
 
 which is v_a(t) P_a(x; t), are the spec route: the alternant's numerator is
 expanded in integers as an alternating polynomial and divided once by the
-Vandermonde determinant, with a zero-remainder check, with no tableau and no
-R_a.  The tests and `heckelab verify` hold the Satake images to it, and
+Vandermonde determinant under a zero-remainder check; it reads no tableau and
+no R_a.  The tests and `heckelab verify` hold the Satake images to it, and
 perfbench's tracer wraps both.
 """
 
