@@ -238,8 +238,7 @@ def _count_report(args):
                            collect_witnesses=bool(args.witness_file))
     if args.mode == "corollary":
         q = _parse_q(args.q, args.n, args.seed)
-        return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed,
-                                      delta=args.delta, Q=q)
+        return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed, Q=q)
     if args.mode == "sdelta":
         q = _parse_q(args.q, args.n, args.seed)
         return enumerate_S_delta(
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int)
     sp.add_argument("--l", type=int)
     sp.add_argument("--nu", type=int, default=1)
-    sp.add_argument("--delta", type=_parse_fraction, help="default 1e-6, corollary 1/X^4")
+    sp.add_argument("--delta", type=_parse_fraction, help="default 1e-6; corollary takes none")
     sp.add_argument("--q", default="identity", help="identity | random | file:PATH")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--ladder", type=lambda s: [int(x) for x in s.split(",")])
@@ -359,9 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the count options each mode cannot run without, and the modes with no witnesses
+# the count options each mode cannot run without, and those it has no use for:
+# corollary counts every rung at 1/X^4, and only lembp and sdelta keep witnesses
 REQUIRED_BY_MODE = {"lembp": ("poly",), "sdelta": ("m", "l")}
-WITNESSLESS_MODES = ("corollary", "scaling")
+REFUSED_BY_MODE = {"corollary": ("delta", "witness_file"), "scaling": ("witness_file",)}
 
 
 def main(argv=None) -> int:
@@ -372,10 +372,13 @@ def main(argv=None) -> int:
         missing = [f"--{k}" for k in needed if getattr(args, k) is None]
         if missing:
             parser.error(f"--mode {args.mode} needs {' and '.join(missing)}")
-        if args.witness_file and args.mode in WITNESSLESS_MODES:
-            parser.error(f"--mode {args.mode} takes no --witness-file")
-        if args.delta is None and args.mode != "corollary":
-            args.delta = "1e-6"
+        for k in REFUSED_BY_MODE.get(args.mode, ()):
+            if getattr(args, k) is not None:
+                parser.error(f"--mode {args.mode} takes no --{k.replace('_', '-')}")
+        if args.witness_file and args.no_witnesses:
+            parser.error("--witness-file needs the witnesses that --no-witnesses drops")
+        # set after the refusal, since argparse cannot tell a given 1e-6 from its default
+        args.delta = args.delta or "1e-6"
     try:
         return args.func(args)
     except ValueError as exc:

@@ -410,7 +410,6 @@ def corollary_count_ladder(
     k: int,
     Xs: list[int],
     seed: int,
-    delta=None,
     Q: QuadraticForm | None = None,
     repeats: int = 4,
 ) -> CountReport:
@@ -419,8 +418,7 @@ def corollary_count_ladder(
     For each X several target points are planted (so every count is positive)
     and the counts summed, smoothing out the arithmetic fluctuation of single
     representation numbers; the constraint values q are read off random
-    integer vectors of size about X.  Every rung counts with delta = 1/X^4
-    unless a delta is given, which then serves every rung.
+    integer vectors of size about X.  Every rung counts with delta = 1/X^4.
     """
     if not 0 <= k <= n - 2:
         raise ValueError("need 0 <= k <= n - 2")
@@ -434,7 +432,7 @@ def corollary_count_ladder(
     counts = []
     ladder = []
     for X in Xs:
-        dlt = Fraction(1, X**4) if delta is None else Fraction(delta)
+        dlt = Fraction(1, X**4)
         rung = 0
         for _ in range(repeats):
             while True:
@@ -456,7 +454,6 @@ def corollary_count_ladder(
             "k": k,
             "Xs": list(Xs),
             "seed": seed,
-            "delta": None if delta is None else str(Fraction(delta)),
             "Q": Q.digest(),
         },
         count=sum(counts),

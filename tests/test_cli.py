@@ -108,28 +108,35 @@ def test_count_lembp_witness_file(tmp_path, capsys):
     assert [3, 4] in payload["witnesses"] and [-5, 0] in payload["witnesses"]
 
 
-@pytest.mark.parametrize("mode", ["corollary", "scaling"])
-def test_witness_file_is_a_usage_error_where_there_are_no_witnesses(tmp_path, capsys, mode):
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "corollary", "--ladder", "2"], "--mode corollary takes no --witness-file"),
+    (["--mode", "scaling", "--ladder", "2"], "--mode scaling takes no --witness-file"),
+    (["--mode", "sdelta", "--n", "2", "--m", "1", "--l", "1", "--no-witnesses"],
+     "--witness-file needs the witnesses that --no-witnesses drops"),
+], ids=["corollary", "scaling", "sdelta-no-witnesses"])
+def test_witness_file_is_a_usage_error_where_there_are_no_witnesses(tmp_path, capsys, argv,
+                                                                     message):
     path = tmp_path / "witnesses.json"
     with pytest.raises(SystemExit) as exc:
-        main(["count", "--mode", mode, "--ladder", "2", "--witness-file", str(path)])
+        main(["count", *argv, "--witness-file", str(path)])
     assert exc.value.code == 2
-    assert f"--mode {mode} takes no --witness-file" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not path.exists()
 
 
-def test_count_corollary_uses_the_given_delta(capsys):
-    argv = ("count", "--mode", "corollary", "--n", "3", "--k", "0", "--ladder", "4,6")
+def test_count_corollary_refuses_delta(capsys):
+    argv = ["count", "--mode", "corollary", "--n", "3", "--k", "0", "--ladder", "4,6"]
     _, out = run(capsys, *argv)
     report = json.loads(out)["report"]
-    # without --delta every rung counts at 1/X^4, and the config echoes no delta
+    # every rung counts at 1/X^4, which the report does not restate as a delta
     assert [r["count"] for r in report["notes"]["ladder"]] == [68, 64]
-    assert report["parameters"]["delta"] is None
-    assert "delta" not in json.loads(out)["config"]
-    _, out = run(capsys, *argv, "--delta", "1/2")
-    report = json.loads(out)["report"]
-    assert [r["count"] for r in report["notes"]["ladder"]] == [992, 2931]
-    assert report["parameters"]["delta"] == "1/2"
+    assert "delta" not in report["parameters"]
+    # a given delta, even the default of the other modes, is refused
+    for delta in ("1/2", "1e-6"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--delta", delta])
+        assert exc.value.code == 2
+        assert "--mode corollary takes no --delta" in capsys.readouterr().err
 
 
 def test_count_corollary_with_file_form(tmp_path, capsys):
