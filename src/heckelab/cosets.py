@@ -3,16 +3,17 @@
 Left cosets of the double coset of diag(p^{a_1}, ..., p^{a_n}) are
 represented by integer matrices in Hermite form: upper triangular, positive
 diagonal, and each above-diagonal entry reduced modulo the diagonal entry
-of its column.  One cached pass per weight w types each Hermite form of
-determinant p^w once (its elementary divisors) and keeps the forms of each
-type, a complete, duplicate-free list for every a of weight w, and the type
-of each form.  The forms are the [w + n − 1, n − 1]_p sublattices of index
-p^w in Zⁿ, a count the budget reads in closed form.  At determinant ±p^w
-every divisor is a power of p, so types are found modulo p^{w+1}, by
-pivoting on entries of least p-adic valuation, with no Euclidean loop.
-Each normal form has one routine here: hermite_reduce_upper for Hermite
-forms, and elementary_divisors, which reads the Smith form of any small
-nonsingular matrix from its definition, the gcds of its minors.
+of its column.  One cached pass per weight w lists the Hermite forms y of
+determinant p^w, the [w + n − 1, n − 1]_p sublattices of index p^w in Zⁿ
+(a count the budget reads in closed form), column by column, and carries
+the columns of x = p^w·y⁻¹ with y's.  x is the adjugate of y, so the type
+of y (its elementary divisors) is read off D₁, the gcd of y's entries, and
+D_{n−1}, the gcd of x's: they fix it at n ≤ 3, and at any n when
+D_{n−1} = D₁^{n−1}.  The other forms are typed by _p_local_type, which
+pivots modulo p^{w+1} on entries of least p-adic valuation.  Each normal
+form has one routine here: hermite_reduce_upper for Hermite forms, and
+elementary_divisors, which reads the Smith form of any small nonsingular
+matrix from its definition, the gcds of its minors.
 
 The structure constants of a product of two operators are counted for one
 fixed target per class: the coefficient of the class c in T_a·T_b is the
@@ -23,11 +24,11 @@ coset of the same class, and the two must agree.
 Those counts depend on a only through its type, so they are read from a
 tally kept per (b, target, p): the integral diag(p^c)·y⁻¹ counted by the
 type of their Hermite form, shared by every left factor a.  The tally
-reads b's scaled inverses x = p^{|b|}·y⁻¹, built once per (b, p) and
-grouped by their need vector, need_i = max(0, |b| − min_j v_p(x_ij)) over
-the nonzero entries of row i.  diag(p^c)·y⁻¹ is integral exactly when
-c ≥ need componentwise, so one vector comparison decides integrality for a
-whole group, and only the groups that pass are Hermite-reduced.
+reads the x of b's forms from the weight table of |b|, grouped there by
+their need vector, need_i = max(0, |b| − min_j v_p(x_ij)) over the nonzero
+entries of row i.  diag(p^c)·y⁻¹ is integral exactly when c ≥ need
+componentwise, so one vector comparison decides integrality for a whole
+group, and only the groups that pass are Hermite-reduced.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from operator import ge, mul
 
 from .linalg import matrix_det, require_prime
 from .partitions import Partition, enumerate_partitions
@@ -152,29 +154,71 @@ def _candidate_count(n: int, weight: int, p: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _decompose_weight(n: int, weight: int, p: int):
-    """(groups, types): the Hermite forms of det p^weight by type, and each one's type.
+def _type_from_gcds(d1: int, dn1: int, d: int, n: int) -> tuple[int, ...] | None:
+    """Elementary divisors e_1 | … | e_n of det d from D₁ = e_1 and D_{n−1} = d / e_n.
 
-    Diagonals p^b in lexicographic order of b; offsets column by column.
+    They fix the type when n ≤ 3 (e_2 = D_{n−1}/D₁ at n = 3), or when
+    D_{n−1} = D₁^{n−1}, which forces e_1 = … = e_{n−1}; else None.
     """
-    cells = [(i, j) for j in range(n) for i in range(j)]
-    groups: dict[tuple[int, ...], list[Matrix]] = {}
+    if n == 1:
+        return (d,)
+    if n > 3 and dn1 != d1 ** (n - 1):
+        return None
+    return (*(d1,) * (n - 2), dn1 // d1 ** (n - 2), d // dn1)
+
+
+@lru_cache(maxsize=None)
+def _weight_table(n: int, weight: int, p: int):
+    """(forms, types, inverses) for the Hermite forms y of det p^weight, in one pass.
+
+    Diagonals p^b in lexicographic order of b; offsets column by column,
+    the last column innermost.  forms[t] lists the forms of type t, types[y]
+    is y's type, and inverses[t] groups the x = p^weight·y⁻¹ of the forms of
+    type t by need vector, in (need, xs) pairs in order of first appearance.
+    x·y = p^weight·I gives x_ij = −Σ_{i≤k<j} x_ik·y_kj / y_jj, each division
+    exact, so column j of x is built with column j of y, and
+    need_i = weight − v_p(gcd(p^weight, row i of x)).  x is the adjugate of
+    y, so the gcd of its entries is D_{n−1}(y): with D₁(y) it gives the type
+    where _type_from_gcds can, and _p_local_type gives the rest.
+    """
+    d = p**weight
+    log = {p**k: k for k in range(weight + 1)}
+    forms: dict[tuple[int, ...], list[Matrix]] = {}
     types: dict[Matrix, tuple[int, ...]] = {}
+    # type -> (gcd(p^weight, row i of x) for each i), which fixes the need -> xs
+    by_gcds: dict[tuple[int, ...], dict[tuple[int, ...], list[Matrix]]] = {}
     for b in product(range(weight + 1), repeat=n):
         if sum(b) != weight:
             continue
-        diag = [p**e for e in b]
-        for offs in product(*(range(diag[j]) for _, j in cells)):
-            mat = [[0] * n for _ in range(n)]
-            for j, d in enumerate(diag):
-                mat[j][j] = d
-            for (i, j), v in zip(cells, offs):
-                mat[i][j] = v
-            m = tuple(map(tuple, mat))
-            t = types[m] = _p_local_type(m, p, weight)
-            groups.setdefault(t, []).append(m)
-    return {t: tuple(ms) for t, ms in groups.items()}, types
+        grown = [((), (), 0)]  # (columns of y, columns of x, gcd of y's entries)
+        for j, e in enumerate(p**i for i in b):
+            pad = (0,) * (n - j - 1)
+            xjj = d // e
+            leads, grown = grown, []
+            for ycols, xcols, d1 in leads:
+                xrows = list(zip(*xcols))
+                for offs in product(range(e), repeat=j):
+                    xcol = [-sum(map(mul, xrows[i], offs)) // e for i in range(j)]
+                    grown.append((
+                        (*ycols, (*offs, e, *pad)),
+                        (*xcols, (*xcol, xjj, *pad)),
+                        gcd(d1, e, *offs),
+                    ))
+        for ycols, xcols, d1 in grown:
+            y, x = tuple(zip(*ycols)), tuple(zip(*xcols))
+            gcds = tuple([gcd(d, *row) for row in x])
+            t = _type_from_gcds(d1, gcd(*gcds), d, n) or _p_local_type(y, p, weight)
+            types[y] = t
+            forms.setdefault(t, []).append(y)
+            by_gcds.setdefault(t, {}).setdefault(gcds, []).append(x)
+    return (
+        {t: tuple(ys) for t, ys in forms.items()},
+        types,
+        {
+            t: tuple((tuple(weight - log[g] for g in gcds), tuple(xs)) for gcds, xs in group.items())
+            for t, group in by_gcds.items()
+        },
+    )
 
 
 def _type(a: Partition, p: int) -> tuple[int, ...]:
@@ -182,10 +226,20 @@ def _type(a: Partition, p: int) -> tuple[int, ...]:
     return tuple(p**e for e in sorted(a))
 
 
+@lru_cache(maxsize=None)
 def _reps(a: Partition, p: int) -> tuple[Matrix, ...]:
-    """The Hermite forms of a's cosets, read from the cached enumeration."""
-    groups, _ = _decompose_weight(a.n, a.weight, p)
-    return groups.get(_type(a, p), ())
+    """The Hermite forms of a's cosets, in the order of the weight table.
+
+    Those of a central shift a = a' + (kⁿ) are p^k times those of a', the
+    forms with D₁ divisible by p^k, in the same order; so a's own weight
+    table is built only when its last part is 0.
+    """
+    k = a[-1]
+    if k:
+        s, base = p**k, _reps(Partition(e - k for e in a), p)
+        return tuple(tuple(tuple(s * v for v in row) for row in y) for y in base)
+    forms, _, _ = _weight_table(a.n, a.weight, p)
+    return forms.get(_type(a, p), ())
 
 
 def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> CosetList:
@@ -206,76 +260,26 @@ def coset_decomposition(a: Partition, p: int, budget: int | None = None) -> Cose
 # -- multiplication by fixed-target counting -----------------------------------
 
 
-def _scaled_inverse(y: Matrix, d: int) -> Matrix:
-    """d·y⁻¹ for an upper-triangular y with positive diagonal and det(y) = d.
-
-    This is the adjugate of y, an integer upper-triangular matrix, found by
-    back-substitution in y·x = d·I; every division is exact.
-    """
-    n = len(y)
-    x = [[0] * n for _ in range(n)]
-    for j in range(n):
-        x[j][j] = d // y[j][j]
-        for i in range(j - 1, -1, -1):
-            s = sum(y[i][k] * x[k][j] for k in range(i + 1, j + 1))
-            x[i][j] = -s // y[i][i]
-    return tuple(tuple(row) for row in x)
-
-
-def _need_vector(x: Matrix, p: int, w: int) -> tuple[int, ...]:
-    """Least c with diag(p^c)·x divisible by p^w: max(0, w − min_j v_p(x_ij)) per row.
-
-    The minimum runs over the nonzero entries of the row; a zero row needs
-    nothing.
-    """
-    need = []
-    for row in x:
-        low = w  # min(w, least valuation seen so far)
-        for v in row:
-            if v:
-                e = 0
-                while e < low and v % p == 0:
-                    v //= p
-                    e += 1
-                low = e
-        need.append(w - low)
-    return tuple(need)
-
-
-@lru_cache(maxsize=None)
-def _inverses_by_need(b: Partition, p: int):
-    """p^{|b|}·y⁻¹ for every coset representative y of b, grouped by need vector.
-
-    Built once per (b, p) from the cached enumeration, without a second
-    call to coset_decomposition; returns (need, inverses) pairs.
-    """
-    d = p**b.weight
-    groups: dict[tuple[int, ...], list[Matrix]] = {}
-    for y in _reps(b, p):
-        x = _scaled_inverse(y, d)
-        groups.setdefault(_need_vector(x, p, b.weight), []).append(x)
-    return tuple((need, tuple(xs)) for need, xs in groups.items())
-
-
 @lru_cache(maxsize=None)
 def _tally(b: Partition, exps: tuple[int, ...], p: int) -> dict[tuple[int, ...], int]:
     """The integral γ·y⁻¹, γ = diag(p^exps), over b's coset reps y, counted by type.
 
-    Each inverse x = p^{|b|}·y⁻¹ of _inverses_by_need gives an integral γ·y⁻¹
+    Each x = p^{|b|}·y⁻¹ of b's weight table gives an integral γ·y⁻¹
     exactly when exps ≥ its need componentwise, one comparison per group.
     An integral γ·y⁻¹ is upper triangular with positive diagonal, so its
-    Hermite form is one of the cached forms of its determinant, typed when
-    it was listed; the entry at a's type is the count for a.  The tally is
-    shared by every left factor and read-only.
+    Hermite form is one of the forms of its determinant's weight table,
+    typed when it was listed; the entry at a's type is the count for a.
+    The tally is shared by every left factor and read-only.
     """
     d = p**b.weight
-    _, types = _decompose_weight(b.n, sum(exps) - b.weight, p)
+    _, _, inverses = _weight_table(b.n, b.weight, p)
+    _, types, _ = _weight_table(b.n, sum(exps) - b.weight, p)
     scale = [p**e for e in exps]
     tally: dict[tuple[int, ...], int] = {}
-    for need, inverses in _inverses_by_need(b, p):
-        if all(e >= k for e, k in zip(exps, need)):
-            for x in inverses:
-                g = tuple(tuple(s * v // d for v in row) for s, row in zip(scale, x))
+    for need, xs in inverses.get(_type(b, p), ()):
+        if all(map(ge, exps, need)):
+            for x in xs:
+                g = [[s * v // d for v in row] for s, row in zip(scale, x)]
                 t = types[hermite_reduce_upper(g)]
                 tally[t] = tally.get(t, 0) + 1
     return tally
@@ -296,7 +300,7 @@ def oracle_multiply(
 
     Both counts are read at a's type from the tally of (b, target, p),
     which is built once and shared by every left factor; b's scaled
-    inverses are likewise built once per (b, p).  Both coset decompositions
+    inverses come with the weight table of |b|.  Both coset decompositions
     and the budget check still run on every call.
     """
     a, b = Partition(a), Partition(b)

@@ -845,30 +845,33 @@ def enumerate_S_delta(
 
 
 def brute_force_S_delta(Q: QuadraticForm, m: int, l: int, delta, box: int) -> list[Matrix]:
-    """Unpruned reference search over the full entry box (small cases only).
+    """Unpruned reference search over the entry box (small cases only).
 
-    Every matrix of the box is tested directly: its determinant, its
+    The matrices are built from the box's columns whose diagonal Gram entry
+    lies in its window, and each is tested directly: its determinant, its
     determinantal divisors from their definition (D_1 = 1 as the gcd of the
     entries, D_2 = l as the gcd of every 2-by-2 minor), then its Gram
     entries against the windows of (Q, delta, m), which are built once.
-    The determinant is the Laplace expansion along the last row, whose
-    cofactors are computed once per choice of the first n - 1 rows.
+    The determinant is the Laplace expansion along the last column, whose
+    cofactors are computed once per choice of the first n - 1 columns.
     """
     n = Q.n
     if n < 2:
         raise ValueError("the second determinantal divisor needs rank at least 2")
     windows = _gram_windows(Q, Fraction(delta), m)
-    rows = list(product(range(-box, box + 1), repeat=n))
+    columns = list(product(range(-box, box + 1), repeat=n))
+    diagonal = [windows[Q.scaled[j][j]] for j in range(n)]
+    pools = [[c for c in columns if lo <= Q.scaled_apply(c, c) <= hi] for lo, hi in diagonal]
     out = []
-    for prefix in product(rows, repeat=n - 1):
+    for prefix in product(*pools[:-1]):
         cof = [
-            (-1) ** (n - 1 + j) * matrix_det([row[:j] + row[j + 1 :] for row in prefix])
-            for j in range(n)
+            (-1) ** (n - 1 + i) * matrix_det([col[:i] + col[i + 1 :] for col in prefix])
+            for i in range(n)
         ]
-        for last in rows:
+        for last in pools[-1]:
             if sum(map(mul, cof, last)) != m:
                 continue
-            gamma = prefix + (last,)
+            gamma = tuple(zip(*prefix, last))
             if gcd(*(x for row in gamma for x in row)) != 1:
                 continue
             d2 = gcd(*(

@@ -16,6 +16,7 @@ from heckelab.cosets import (
     matrix_det,
     oracle_multiply,
 )
+from spec import need_vector, scaled_inverse
 
 HADAMARD = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 
@@ -141,6 +142,21 @@ def test_hermite_reduce_upper_matches_general():
         assert hermite_reduce_upper(mt) == hermite_normal_form(mt)
 
 
+def _draw_hermite(draw, n, w, p):
+    """(y, e): a Hermite form y of det p^w, with diagonal p^e for a drawn
+    composition e of w and offsets drawn in [0, p^e_j)."""
+    cuts = sorted(draw(st.lists(st.integers(0, w), min_size=n - 1, max_size=n - 1)))
+    e = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, w])]
+    y = tuple(
+        tuple(
+            p ** e[j] if i == j else draw(st.integers(0, p ** e[j] - 1)) if i < j else 0
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return y, e
+
+
 @st.composite
 def _prime_power_determinant(draw):
     """(m, p, w) with det m = ±p^w: a Hermite form, or U·diag(p^e)·V with U, V
@@ -148,16 +164,8 @@ def _prime_power_determinant(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     n = draw(st.integers(1, 4))
     w = draw(st.integers(0, 5))
-    cuts = sorted(draw(st.lists(st.integers(0, w), min_size=n - 1, max_size=n - 1)))
-    e = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, w])]
+    m, e = _draw_hermite(draw, n, w, p)
     if draw(st.booleans()):
-        m = tuple(
-            tuple(
-                p ** e[j] if i == j else draw(st.integers(0, p ** e[j] - 1)) if i < j else 0
-                for j in range(n)
-            )
-            for i in range(n)
-        )
         return m, p, w
 
     def unimodular():
@@ -225,9 +233,10 @@ def test_candidate_count_is_the_number_of_hermite_forms():
     listed += [(n, w, 3) for n in range(1, 5) for w in range(5) if (n, w) != (4, 4)]
     listed += [(n, w, 5) for n in range(1, 4) for w in range(4)]
     for n, w, p in listed:
-        groups, types = cosets._decompose_weight(n, w, p)
+        forms, types, inverses = cosets._weight_table(n, w, p)
         assert cosets._candidate_count(n, w, p) == len(types)
-        assert sum(len(ms) for ms in groups.values()) == len(types)
+        assert sum(len(ys) for ys in forms.values()) == len(types)
+        assert sum(len(xs) for groups in inverses.values() for _, xs in groups) == len(types)
     for n in range(1, 7):
         for w in range(7):
             diagonals = [b for b in product(range(w + 1), repeat=n) if sum(b) == w]
@@ -237,6 +246,72 @@ def test_candidate_count_is_the_number_of_hermite_forms():
     # beyond enumeration: the rank-4 budgets at p = 5
     assert cosets._candidate_count(4, 3, 5) == 2_558_556
     assert cosets._candidate_count(4, 4, 5) == 320_327_931
+
+
+# Weight tables of at most 2 000 forms, and (4, 2, 5) with 20 306, the
+# smallest at p = 5 with types such as (1, 1, 5, 5) that D₁ and D_{n−1}
+# leave to _p_local_type
+SMALL_TABLES = [
+    (n, w, p)
+    for n in range(1, 6)
+    for p in (2, 3, 5)
+    for w in range(6)
+    if cosets._candidate_count(n, w, p) <= 2000
+] + [(4, 2, 5)]
+
+
+@st.composite
+def _hermite_form(draw):
+    """(y, p, w): a Hermite form y of det p^w with (n, w, p) in SMALL_TABLES."""
+    n, w, p = draw(st.sampled_from(SMALL_TABLES))
+    return _draw_hermite(draw, n, w, p)[0], p, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hermite_form())
+@example((((1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)), 2, 2))
+@example((((1, 1, 1, 1), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2, 3))
+@example((((1, 0, 0, 4), (0, 1, 2, 0), (0, 0, 5, 0), (0, 0, 0, 5)), 5, 2))
+@example((((1, 0, 0, 1, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 1), (0, 0, 0, 2, 0), (0, 0, 0, 0, 2)), 2, 2))
+def test_weight_table_matches_the_specs(case):
+    # the table lists y under its Smith type, and its x = p^w·y⁻¹ under
+    # that type and the need vector of x, as the one-form specs build them
+    y, p, w = case
+    forms, types, inverses = cosets._weight_table(len(y), w, p)
+    t = types[y]
+    assert t == elementary_divisors(y)
+    assert y in forms[t]
+    x = scaled_inverse(y, p**w)
+    assert x in dict(inverses[t])[need_vector(x, p, w)]
+
+
+def test_gcds_leave_only_unequal_leading_divisors_open():
+    # at n = 4, D₁ and D₃ fix (1, 1, 1, 4) and (2, 2, 2, 2), not (1, 1, 2, 2)
+    assert cosets._type_from_gcds(1, 1, 4, 4) == (1, 1, 1, 4)
+    assert cosets._type_from_gcds(2, 8, 16, 4) == (2, 2, 2, 2)
+    assert cosets._type_from_gcds(1, 2, 4, 4) is None
+    assert cosets._type_from_gcds(1, 2, 4, 3) == (1, 2, 2)
+
+
+def test_central_shift_scales_the_forms_of_its_base():
+    # the forms of a + (kⁿ) are p^k times those of a, equal, order included,
+    # to the group of the full weight table; (4, 4, 3), with 925 771 forms,
+    # is left out
+    for n in range(1, 5):
+        for w in range(5):
+            for p in (2, 3):
+                if (n, w, p) == (4, 4, 3):
+                    continue
+                forms, _, _ = cosets._weight_table(n, w, p)
+                for a in enumerate_partitions(n, w):
+                    if a[-1]:
+                        assert cosets._reps(a, p) == forms[cosets._type(a, p)], (a, p)
+    # (1, 1, 1) at p = 5 reads the weight-0 table, not the 20 306 forms of det 5³
+    for cached in (cosets._weight_table, cosets._reps):
+        cached.cache_clear()
+    assert coset_decomposition(Partition((1, 1, 1)), 5).reps == (((5, 0, 0), (0, 5, 0), (0, 0, 5)),)
+    info = cosets._weight_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_budget_guard():
@@ -360,7 +435,7 @@ def test_scaled_inverse_is_adjugate():
         d = p**b.weight
         scalar = tuple(tuple(d * (i == j) for j in range(b.n)) for i in range(b.n))
         for y in coset_decomposition(b, p).reps:
-            assert _mul_upper(y, cosets._scaled_inverse(y, d), b.n) == scalar
+            assert _mul_upper(y, scaled_inverse(y, d), b.n) == scalar
 
 
 def test_oracle_rejects_unequal_diagonal_counts(monkeypatch):
@@ -382,10 +457,12 @@ def test_oracle_rejects_unequal_diagonal_counts(monkeypatch):
 
 def test_oracle_builds_each_tally_once(monkeypatch):
     # the n = 3, p = 3 grid of weight <= 3 reads 392 counts from 193 distinct
-    # (right factor, target) tallies, and types come from the p-local routine
-    smith = []
+    # (right factor, target) tallies and builds the weight tables 0..3 once;
+    # at n = 3, D₁ and D₂ fix every type, so neither Smith routine runs
+    smith, local = [], []
     monkeypatch.setattr(cosets, "elementary_divisors", lambda m: smith.append(m))
-    for cached in (cosets._decompose_weight, cosets._inverses_by_need, cosets._tally):
+    monkeypatch.setattr(cosets, "_p_local_type", lambda *args: local.append(args))
+    for cached in (cosets._weight_table, cosets._reps, cosets._tally):
         cached.cache_clear()
     parts = [a for w in range(4) for a in enumerate_partitions(3, w)]
     for a in parts:
@@ -393,7 +470,8 @@ def test_oracle_builds_each_tally_once(monkeypatch):
             oracle_multiply(a, b, 3)
     info = cosets._tally.cache_info()
     assert (info.misses, info.hits) == (193, 199)
-    assert smith == []
+    assert cosets._weight_table.cache_info().misses == 4
+    assert smith == [] and local == []
 
 
 def _integral_after_scaling(x, c, p, w):
@@ -421,7 +499,7 @@ def _upper_and_exponents(draw):
 @given(_upper_and_exponents())
 def test_need_vector_decides_integrality(case):
     x, c, p, w = case
-    need = cosets._need_vector(x, p, w)
+    need = need_vector(x, p, w)
     assert all(ci >= k for ci, k in zip(c, need)) == _integral_after_scaling(x, c, p, w)
 
 

@@ -826,8 +826,7 @@ def entry_box(q: QuadraticForm, m: int, delta: Fraction) -> int:
 
 @st.composite
 def small_s_delta_cases(draw):
-    """(Q, m, l, delta, box) at n = 2, 3 with the exact entry_box at most 2
-    (at most 1 at n = 3, where box 2 brute-forces 5^9 matrices)."""
+    """(Q, m, l, delta, box) at n = 2, 3 with the exact entry_box at most 2."""
     n = draw(st.sampled_from([2, 3]))
     offs = st.sampled_from([Fraction(k, d) for d in (1, 2, 3) for k in range(-d, d + 1)])
     diag = [draw(st.sampled_from([1, Fraction(3, 2), 2, 3])) for _ in range(n)]
@@ -838,8 +837,7 @@ def small_s_delta_cases(draw):
     except ValueError:  # not positive definite
         assume(False)
     delta = draw(st.sampled_from([Fraction(1, 10**6), Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
-    limit = 2 if n == 2 else 1
-    ms = [m for m in range(1, 17) if entry_box(q, m, delta) <= limit]
+    ms = [m for m in range(1, 17) if entry_box(q, m, delta) <= 2]
     assume(ms)
     m = draw(st.sampled_from(ms))
     l = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
