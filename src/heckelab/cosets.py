@@ -285,6 +285,12 @@ def _tally(b: Partition, exps: tuple[int, ...], p: int) -> dict[tuple[int, ...],
     return tally
 
 
+@lru_cache(maxsize=None)
+def _targets(n: int, weight: int) -> tuple[Partition, ...]:
+    """The classes of rank n and the given weight, enumerated once."""
+    return tuple(enumerate_partitions(n, weight))
+
+
 def oracle_multiply(
     a: Partition, b: Partition, p: int, budget: int | None = None
 ) -> dict[Partition, int]:
@@ -309,7 +315,7 @@ def oracle_multiply(
     budget = DEFAULT_BUDGET if budget is None else budget
     coset_decomposition(a, p, budget)
     cb = coset_decomposition(b, p, budget)
-    targets = enumerate_partitions(a.n, a.weight + b.weight)
+    targets = _targets(a.n, a.weight + b.weight)
     tests = 2 * len(targets) * cb.degree
     if tests > budget:
         raise CosetBudgetError(f"{tests} integrality tests exceed budget {budget}")

@@ -35,6 +35,12 @@ Gram entries with the point are one integer combination of them.  The
 minors and gcds of the fixed columns are carried down the search, so a
 full matrix is decided without re-deriving them: its determinant is one
 dot product and its divisors two gcds.
+
+The search runs once per orbit of the first column under the signed
+permutations k with k^T Q k = Q.  gamma -> k gamma keeps every condition
+but the determinant, which it multiplies by det k, so the subtree at k x
+is the image of the subtree at x; its node count, leaf rejections and
+witnesses are read off that one subtree, sorted by determinant m and -m.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, fsum, gcd, isqrt, lcm, log
-from operator import mul
+from operator import itemgetter, mul
 
 from .linalg import column_echelon, condition_at_most, gram_schmidt, lll, matrix_det, require_prime
 from .seeded import Generator
@@ -586,6 +592,40 @@ def _minor_gcd(g: int, fixed, x, pairs, stop: int) -> int:
     return g
 
 
+def _signed_automorphisms(S: Matrix) -> list[tuple[tuple[int, ...], int]]:
+    """The signed permutations k with k^T S k = S, with their determinants.
+
+    Each k is given as the index tuple g with (k x)_i = (x + (-x))[g_i]:
+    g_i = p(i) where row i of k is e_p(i), and n + p(i) where it is -e_p(i).
+    Then k^T S k = S reads S[p(i)][p(j)] = s_i s_j S[i][j] for the signs s,
+    so the rows are chosen one by one, each checked against itself and the
+    rows before it, and no candidate is tested whole.
+    """
+    n = len(S)
+    out = []
+
+    def extend(g: list[int]):
+        i = len(g)
+        if i == n:
+            p = [a % n for a in g]
+            flips = sum(p[a] > p[b] for a, b in combinations(range(n), 2))
+            flips += sum(a >= n for a in g)
+            out.append((tuple(g), -1 if flips % 2 else 1))
+            return
+        used = {a % n for a in g}
+        for p in range(n):
+            if p in used or S[p][p] != S[i][i]:
+                continue
+            for s in (1, -1):
+                if all(
+                    S[p][a % n] == (s if a < n else -s) * S[i][t] for t, a in enumerate(g)
+                ):
+                    extend(g + [p if s == 1 else n + p])
+
+    extend([])
+    return out
+
+
 # -- lanes: many small integers as the digits of one int -----------------------------
 #
 # An int sum_t v_t 2^(width t) holds the values v_t in lanes of width bits.
@@ -667,6 +707,22 @@ def enumerate_S_delta(
     minors, neither computed further once it reaches 1, resp. l.
     notes["leaf_rejections"] counts the leaves failing on the determinant
     and on the divisors, in that order of testing.
+
+    The column-0 loop visits one point x per orbit of the group G of signed
+    permutations k with k^T (scale Q) k = scale Q (_signed_automorphisms).
+    k maps the shells, the Gram entries, the 2-by-2 minors up to sign (so
+    their congruences mod l and D_2) and D_1 onto themselves, and multiplies
+    the determinant by det k, so the subtree at y = k_y x is k_y times the
+    subtree at x.  That subtree is searched once, its leaves sorted by
+    determinant m, -m or other, each with its divisor status; each y of the
+    orbit then adds the subtree's nodes, the rejections of a leaf gamma with
+    det(k_y gamma) = det(k_y) det(gamma), and (with witnesses) the matrices
+    k_y gamma of the leaves with det(gamma) = det(k_y) m.  So nodes and
+    leaf_rejections still count the full search, as sums over orbits, and
+    the witnesses are those of the full search.  If a representative's
+    search or the orbit-weighted node count crosses node_budget, the search
+    reruns over every point of column 0's shell on its own, so a cut stops
+    at the same shell-order prefix as the full search.
     """
     t0 = time.perf_counter()
     n = Q.n
@@ -739,14 +795,17 @@ def enumerate_S_delta(
     ]
     nodes = 0
     complete = True
-    witnesses: list[Matrix] = []
-    count = 0
-    rejections = {"det": 0, "divisors": 0}
+    # tally[d] = [passed, failed, found] for the leaves of determinant d that
+    # an automorphism may map to determinant m: how many meet the divisor
+    # targets, how many fail them, and (with witnesses) the matrices that
+    # meet them; other counts the leaves of every other determinant
+    tally: dict[int, list] = {}
+    other = 0
 
     def leaves(fixed, pool, cof, g1, g2):
         # the last column x completes the matrix: det = <cof, x> by Laplace
         # expansion along it
-        nonlocal nodes, count, complete
+        nonlocal nodes, complete, other
         shell = shell_of[n - 1]
         while pool:
             low = pool & -pool
@@ -756,19 +815,20 @@ def enumerate_S_delta(
                 complete = False
                 return
             x = shell[low.bit_length() - 1]
-            if sum(map(mul, cof, x)) != m:
-                rejections["det"] += 1
+            rec = tally.get(sum(map(mul, cof, x)))
+            if rec is None:
+                other += 1
                 continue
             # the pools make every 2-by-2 minor 0 mod l, so D_2 is a multiple
             # of l: it is l once g2 is, and _minor_gcd may stop at l
             if (g1 != 1 and gcd(g1, *x) != 1) or (
                 g2 != l and _minor_gcd(g2, fixed, x, pairs, l) != l
             ):
-                rejections["divisors"] += 1
+                rec[1] += 1
                 continue
-            count += 1
+            rec[0] += 1
             if collect_witnesses:
-                witnesses.append(tuple(zip(*fixed, x)))
+                rec[2].append(tuple(zip(*fixed, x)))
 
     def search(fixed, pools, minors, g1, g2):
         # pools[k - j] is the bitmask over column k's shell of the points
@@ -825,7 +885,54 @@ def enumerate_S_delta(
                 if not complete:
                     return
 
-    search([], [(1 << len(shell)) - 1 for shell in shell_of], [1], 0, 0)
+    def count_orbits(group):
+        # Search one point x of column 0's shell per orbit of group and book
+        # its subtree once for each point k x of the orbit: k maps it onto
+        # the subtree at k x and multiplies each determinant by det k.
+        # None once the orbit-weighted node count crosses node_budget under
+        # a group of more than one element, where a cut would not stop at a
+        # shell-order prefix of the full search.
+        nonlocal nodes, complete, tally, other
+        nodes, complete = 0, True
+        count, rejections, witnesses = 0, {"det": 0, "divisors": 0}, []
+        moves = [(itemgetter(*g), d) for g, d in group]
+        full = [(1 << len(shell)) - 1 for shell in shell_of]
+        seen: set[tuple[int, ...]] = set()
+        for i, x in enumerate(shell_of[0]):
+            if x in seen:
+                continue
+            signed_x = x + tuple(-v for v in x)
+            orbit: dict[tuple[int, ...], tuple] = {}
+            for move, d in moves:
+                orbit.setdefault(move(signed_x), (move, d))
+            seen.update(orbit)
+            tally = {d * m: [0, 0, []] for _, d in orbit.values()}
+            other = 0
+            before = nodes
+            search([], [1 << i] + full[1:], [1], 0, 0)
+            nodes = before + len(orbit) * (nodes - before)
+            if nodes > node_budget and len(group) > 1:
+                return None
+            total = other + sum(passed + failed for passed, failed, _ in tally.values())
+            # each leaf's rows and their negations, for a move to pick k gamma from
+            signed = {
+                det: [w + tuple(tuple(-v for v in row) for row in w) for w in found]
+                for det, (_, _, found) in tally.items()
+            }
+            for move, d in orbit.values():
+                passed, failed, _ = tally[d * m]
+                count += passed
+                rejections["det"] += total - passed - failed
+                rejections["divisors"] += failed
+                witnesses.extend(map(move, signed[d * m]))
+            if not complete:
+                break
+        return count, rejections, witnesses
+
+    result = count_orbits(_signed_automorphisms(Q.scaled))
+    if result is None:
+        result = count_orbits([(tuple(range(n)), 1)])
+    count, rejections, witnesses = result
     witnesses.sort()
     return CountReport(
         parameters={

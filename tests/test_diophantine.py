@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckelab.cosets import determinantal_divisors_bruteforce, matrix_det
+from heckelab import diophantine
 from heckelab.diophantine import (
     QuadPoly2,
     QuadraticForm,
@@ -17,6 +18,7 @@ from heckelab.diophantine import (
     _laplace_plan,
     _minor_gcd,
     _pack_lanes,
+    _signed_automorphisms,
     brute_force_S_delta,
     corollary_count_experiment,
     corollary_count_ladder,
@@ -999,6 +1001,102 @@ def test_budget_flagging(s81_report):
     assert rep.witnesses[0] == ((-3, 0, 0, 0), (0, -2, -2, -1), (0, -2, 1, 2), (0, 1, -2, 2))
     assert rep.witnesses[-1] == ((0, 3, 0, 0), (-1, 0, 2, 2), (2, 0, 2, -1), (2, 0, -1, 2))
 
+
+
+def search_without_orbits(monkeypatch, *args, **kwargs):
+    """enumerate_S_delta with the automorphism group cut down to {I}: every
+    point of column 0's shell is then searched on its own, the full search."""
+    with monkeypatch.context() as patch:
+        patch.setattr(diophantine, "_signed_automorphisms", lambda S: [(tuple(range(len(S))), 1)])
+        return enumerate_S_delta(*args, **kwargs)
+
+
+def same_search(a, b) -> bool:
+    return (a.count, a.notes, a.complete, a.witnesses) == (b.count, b.notes, b.complete, b.witnesses)
+
+
+DIAG_1123 = QuadraticForm(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3)))
+
+
+@pytest.mark.parametrize("q,m,l,delta", [
+    (I4, 16, 2, DELTA),
+    (I4, 81, 3, DELTA),
+    (I4, 625, 5, DELTA),
+    (I4, 375, 5, Fraction(1, 3)),
+    (QuadraticForm.random_spd(4, 0), 7**4, 7, Fraction(1, 3)),
+    (QuadraticForm.random_spd(4, 1), 7**4, 7, Fraction(1, 3)),
+    (QuadraticForm.random_spd(4, 2), 7**4, 7, Fraction(1, 3)),
+    (DIAG_1123, 81, 3, Fraction(1, 3)),
+    (I3, 2, 1, Fraction(2, 5)),
+    (I3, 8, 2, DELTA),
+    (Q3_EQUAL_OFF_DIAGONAL, 8, 2, Fraction(1, 2)),
+    (I2, 25, 5, DELTA),
+    (I2, 4, 4, DELTA),
+], ids=["I4-16-2", "I4-81-3", "I4-625-5", "I4-375-5", "r0", "r1", "r2", "diag1123",
+        "I3-2-1", "I3-8-2", "Q3eqoff-8-2", "I2-25-5", "I2-4-4"])
+def test_orbit_search_equals_full_search(monkeypatch, q, m, l, delta):
+    # one subtree per orbit of column 0 under the signed automorphisms,
+    # booked once per orbit point, gives the full search's count, nodes,
+    # rejections and witnesses.  At odd n, -I has determinant -1, and on
+    # Q3_EQUAL_OFF_DIAGONAL the leaves of determinant -m at x are not as
+    # many as those of determinant m
+    rep = enumerate_S_delta(q, m, l, delta)
+    assert same_search(rep, search_without_orbits(monkeypatch, q, m, l, delta))
+    assert rep.count == len(rep.witnesses)
+
+
+@pytest.mark.parametrize("budget,complete", [(10_711, False), (10_712, True)])
+def test_budget_edges_cut_the_full_search(monkeypatch, s81_report, budget, complete):
+    # (I4, 81, 3) visits 10 712 nodes: one fewer cuts the last leaf, and the
+    # cut falls back to the full search in shell order
+    rep = enumerate_S_delta(I4, 81, 3, DELTA, node_budget=budget)
+    assert rep.complete is complete
+    assert same_search(rep, search_without_orbits(monkeypatch, I4, 81, 3, DELTA, node_budget=budget))
+    assert rep.count == s81_report.count
+
+
+def signed_permutations(n):
+    """Every signed permutation matrix of rank n: the spec of the group's candidates."""
+    for p in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            yield tuple(tuple(signs[i] * (j == p[i]) for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("q", [
+    I2, I3, I4, DIAG_1123, Q3_MIXED, Q3_EQUAL_DIAGONAL, Q3_EQUAL_OFF_DIAGONAL,
+    QuadraticForm.random_spd(4, 0), QuadraticForm.random_spd(4, 2),
+    QuadraticForm(((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))),
+], ids=["I2", "I3", "I4", "diag1123", "Q3mixed", "Q3eqdiag", "Q3eqoff", "r0", "r2", "A4dual"])
+def test_signed_automorphisms_match_every_candidate(q):
+    n, s = q.n, q.scaled
+    expected = {
+        k: matrix_det(k) for k in signed_permutations(n)
+        if all(
+            sum(k[a][i] * s[a][b] * k[b][j] for a in range(n) for b in range(n)) == s[i][j]
+            for i in range(n) for j in range(n)
+        )
+    }
+    found = {}
+    for g, d in _signed_automorphisms(s):
+        k = tuple(tuple((1 if a < n else -1) * (j == a % n) for j in range(n)) for a in g)
+        found[k] = d
+    assert found == expected
+    assert len(found) == len(_signed_automorphisms(s)) >= 2  # at least +-I
+
+
+@pytest.mark.parametrize("nu,p,count,nodes", [
+    (1, 13, 37_632, 124_296),
+    (1, 17, 62_208, 205_160),
+    (1, 23, 110_592, 364_472),
+    (2, 3, 27_648, 116_408),
+    (2, 5, 172_800, 624_920),
+])
+def test_similitude_ladder_rungs(nu, p, count, nodes):
+    rep = enumerate_S_delta(I4, p ** (4 * nu), p**nu, DELTA, collect_witnesses=False)
+    assert rep.complete
+    assert (rep.count, rep.notes["nodes"]) == (count, nodes)
+    if nu == 1:
+        assert count == 192 * (p + 1) ** 2
 
 def test_report_serialization_roundtrip():
     import json
