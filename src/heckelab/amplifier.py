@@ -30,15 +30,22 @@ def rho(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(n + 1 - 2 * j, 2) for j in range(1, n + 1))
 
 
-def _majorized_by(v, w, tol: float) -> bool:
-    """True iff sorted(v) is majorized by sorted(w) (equal sums assumed)."""
+# float tolerances of the spectral checks: the spectral parameters' sum,
+# conjugation and hull tests, and the product of Satake parameters
+SPECTRAL_TOL = 1e-9
+SATAKE_PRODUCT_TOL = 1e-8
+
+
+def _majorized_by(v, w) -> bool:
+    """True iff sorted(v) is majorized by sorted(w) (equal sums assumed),
+    up to SPECTRAL_TOL on each partial sum."""
     sv = sorted(v, reverse=True)
     sw = sorted(w, reverse=True)
     acc_v = acc_w = 0.0
     for x, y in zip(sv, sw):
         acc_v += x
         acc_w += y
-        if acc_v > acc_w + tol:
+        if acc_v > acc_w + SPECTRAL_TOL:
             return False
     return True
 
@@ -49,20 +56,19 @@ class SpectralParams:
     imaginary parts inside the Weyl-orbit hull of rho."""
 
     mu: tuple[complex, ...]
-    tol: float = 1e-9
 
     def __post_init__(self):
         mu = tuple(complex(m) for m in self.mu)
         object.__setattr__(self, "mu", mu)
-        if abs(sum(mu)) > self.tol:
+        if abs(sum(mu)) > SPECTRAL_TOL:
             raise ValueError("spectral parameters must sum to zero")
         conj = sorted(mu, key=lambda z: (z.real, z.imag))
         conj_bar = sorted((z.conjugate() for z in mu), key=lambda z: (z.real, z.imag))
-        if any(abs(x - y) > self.tol for x, y in zip(conj, conj_bar)):
+        if any(abs(x - y) > SPECTRAL_TOL for x, y in zip(conj, conj_bar)):
             raise ValueError("spectral parameters must be closed under conjugation")
         imag = [m.imag for m in mu]
         hull = [float(r) for r in rho(len(mu))]
-        if not _majorized_by(imag, hull, self.tol):
+        if not _majorized_by(imag, hull):
             raise ValueError("imaginary parts lie outside the spectral hull")
 
     @property
@@ -74,7 +80,7 @@ def laplace_eigenvalue(params: SpectralParams):
     """(n^3 - n)/24 + (mu_1^2 + ... + mu_n^2)/2; exact for exact inputs."""
     n = params.n
     s = sum(m * m for m in params.mu)
-    if abs(s.imag) > params.tol:
+    if abs(s.imag) > SPECTRAL_TOL:
         raise ValueError("eigenvalue not real; invalid parameter set")
     real = s.real
     if real == int(real):
@@ -112,7 +118,6 @@ class AmplifierSystem:
     n: int
     p: int
     partitions: list[Partition]
-    matrix: list[list[Fraction]]
     y: dict[Partition, Fraction]
     identity_ok: bool
 
@@ -126,7 +131,7 @@ class AmplifierSystem:
         return 1 / (Fraction(len(self.partitions)) * self.max_abs_y)
 
 
-def amplifier_coefficients(n: int, p: int, verify: bool = True) -> AmplifierSystem:
+def amplifier_coefficients(n: int, p: int) -> AmplifierSystem:
     """Solve the amplifier system exactly and verify the operator identity.
 
     The matrix entry at (row a', column a) is the coefficient of the
@@ -151,27 +156,20 @@ def amplifier_coefficients(n: int, p: int, verify: bool = True) -> AmplifierSyst
     if sol is None:
         raise SingularSystemError("singular amplifier matrix")
     y = {a: row[0] for a, row in zip(parts, sol)}
-    matrix = [[Fraction(x, p ** n_weight(aprime)) for x in row]
-              for aprime, row in zip(parts, rows)]
 
-    identity_ok = True
-    if verify:
-        total = None
-        for a in parts:
-            prod = HeckeElement.identity(n, p)
-            for part in a:
-                if part:
-                    prod = multiply(prod, upper_generator(part, n, p))
-            contrib = prod.scale(y[a])
-            total = contrib if total is None else total + contrib
-        lhs = total.scale(Fraction(p) ** n)
-        rhs_el = HeckeElement.generator((1,) * n, p).scale(
-            Fraction(p) ** (n * (n + 1) // 2)
-        )
-        identity_ok = lhs == rhs_el
-    return AmplifierSystem(
-        n=n, p=p, partitions=parts, matrix=matrix, y=y, identity_ok=identity_ok
+    total = None
+    for a in parts:
+        prod = HeckeElement.identity(n, p)
+        for part in a:
+            if part:
+                prod = multiply(prod, upper_generator(part, n, p))
+        contrib = prod.scale(y[a])
+        total = contrib if total is None else total + contrib
+    lhs = total.scale(Fraction(p) ** n)
+    rhs_el = HeckeElement.generator((1,) * n, p).scale(
+        Fraction(p) ** (n * (n + 1) // 2)
     )
+    return AmplifierSystem(n=n, p=p, partitions=parts, y=y, identity_ok=lhs == rhs_el)
 
 
 # -- eigenvalue tables and the detector ----------------------------------------
@@ -200,12 +198,12 @@ class EigenvalueTable:
             raise ValueError("need n Satake parameters")
 
     @classmethod
-    def from_satake_params(cls, n: int, p: int, alpha, tol: float = 1e-8) -> "EigenvalueTable":
+    def from_satake_params(cls, n: int, p: int, alpha) -> "EigenvalueTable":
         alpha = tuple(complex(a) for a in alpha)
         prod = 1
         for a in alpha:
             prod *= a
-        if abs(prod - 1) > tol:
+        if abs(prod - 1) > SATAKE_PRODUCT_TOL:
             raise ValueError("satake parameters must have product 1")
         lam = _generator_images_at(n, p, [p ** ((n + 1) / 2) * a for a in alpha])
         return cls(n=n, p=p, lam=lam, alpha=alpha)

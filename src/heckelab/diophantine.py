@@ -20,27 +20,29 @@ The binary count |P(x, y)| < delta runs on the same enumerator: P is
 homogenized into a positive-definite ternary form, and the window z = 1
 picks its shell points over the plane of P.
 
-The matrix search builds matrices column by column.  Each column k starts
-from a pool of points of its quadratic shell; fixing a column filters every
-later pool by the Gram window against it and by the congruences forcing
-all 2-by-2 minors with it to vanish modulo the divisor target, so every
-leaf already meets the deviation bound.  A pool is an integer bitmask over
-its column's shell.  Whether a shell point passes this filter against a
-fixed point depends only on the two points and three entries of the form,
-so each point is tested at most once against each fixed point, and
-filtering a pool is one integer AND with the points found to pass.  The
+The matrix search builds matrices column by column, in one loop over the
+pool of the next column.  Each column k starts from a pool of points of its
+quadratic shell; fixing a column filters every later pool by the Gram
+window against it and by the congruences forcing all 2-by-2 minors with it
+to vanish modulo the divisor target, so every leaf, a point of the last
+column's pool, already meets the deviation bound.  A pool is an integer
+bitmask over its column's shell.  Whether a shell point passes this filter
+against a fixed point depends only on the two points and three entries of
+the form, so each point is tested at most once against each fixed point,
+and filtering a pool is one integer AND with the points found to pass.  The
 Gram window of a fixed point is decided for a whole shell at once: the
-shell's coordinates are packed as the digits of a few big ints, so its
-Gram entries with the point are one integer combination of them.  The
-minors and gcds of the fixed columns are carried down the search, so a
-full matrix is decided without re-deriving them: its determinant is one
-dot product and its divisors two gcds.
+shell's coordinates are packed as the digits of a few big ints, so its Gram
+entries with the point are one integer combination of them.  The minors and
+gcds of the fixed columns are carried down the search, so a full matrix is
+decided without re-deriving them: its determinant is one dot product and
+its divisors two gcds.
 
 The search runs once per orbit of the first column under the signed
-permutations k with k^T Q k = Q.  gamma -> k gamma keeps every condition
-but the determinant, which it multiplies by det k, so the subtree at k x
-is the image of the subtree at x; its node count, leaf rejections and
-witnesses are read off that one subtree, sorted by determinant m and -m.
+permutations k with k^T Q k = Q, which are found by filtering all 2^n n!
+signed permutations.  gamma -> k gamma keeps every condition but the
+determinant, which it multiplies by det k, so the subtree at k x is the
+image of the subtree at x; its node count, leaf rejections and witnesses
+are read off that one subtree, sorted by determinant m and -m.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, fsum, gcd, isqrt, lcm, log
+from itertools import combinations, permutations, product
+from math import ceil, floor, fsum, gcd, isqrt, lcm, log, prod
 from operator import itemgetter, mul
 
 from .linalg import column_echelon, condition_at_most, gram_schmidt, lll, matrix_det, require_prime
@@ -117,10 +119,6 @@ class QuadraticForm:
                  for i, u in enumerate(cols)]
             if condition_at_most(q, 16):
                 return cls(q)
-
-    def apply(self, x, y) -> Fraction:
-        """Exact value of x^T Q y."""
-        return Fraction(self.scaled_apply(x, y), self.scale)
 
     def scaled_apply(self, x, y) -> int:
         """x^T (scale*Q) y, an integer for integer x and y."""
@@ -448,7 +446,7 @@ def corollary_count_ladder(
                 if k == 0 or matrix_det(gram) != 0:
                     if any(ystar):
                         break
-            q = [Q.apply(ystar, ystar)] + [Q.apply(x, ystar) for x in xs]
+            q = [Fraction(Q.scaled_apply(x, ystar), Q.scale) for x in [ystar, *xs]]
             rep = corollary_count_experiment(Q, k, X, dlt, xs, q)
             rung += rep.count
         counts.append(rung)
@@ -596,33 +594,22 @@ def _signed_automorphisms(S: Matrix) -> list[tuple[tuple[int, ...], int]]:
     """The signed permutations k with k^T S k = S, with their determinants.
 
     Each k is given as the index tuple g with (k x)_i = (x + (-x))[g_i]:
-    g_i = p(i) where row i of k is e_p(i), and n + p(i) where it is -e_p(i).
-    Then k^T S k = S reads S[p(i)][p(j)] = s_i s_j S[i][j] for the signs s,
-    so the rows are chosen one by one, each checked against itself and the
-    rows before it, and no candidate is tested whole.
+    g_i = p(i) where row i of k is s_i e_p(i), with s_i = 1, and n + p(i)
+    where s_i = -1.  Then k^T S k = S reads S[p(i)][p(j)] = s_i s_j S[i][j],
+    and det k = sign(p) prod s_i.  Every permutation p keeping the diagonal
+    is tried with every sign vector s.
     """
     n = len(S)
+    pairs = list(combinations(range(n), 2))
     out = []
-
-    def extend(g: list[int]):
-        i = len(g)
-        if i == n:
-            p = [a % n for a in g]
-            flips = sum(p[a] > p[b] for a, b in combinations(range(n), 2))
-            flips += sum(a >= n for a in g)
-            out.append((tuple(g), -1 if flips % 2 else 1))
-            return
-        used = {a % n for a in g}
-        for p in range(n):
-            if p in used or S[p][p] != S[i][i]:
-                continue
-            for s in (1, -1):
-                if all(
-                    S[p][a % n] == (s if a < n else -s) * S[i][t] for t, a in enumerate(g)
-                ):
-                    extend(g + [p if s == 1 else n + p])
-
-    extend([])
+    for p in permutations(range(n)):
+        if any(S[a][a] != S[i][i] for i, a in enumerate(p)):
+            continue
+        sign = -1 if sum(p[i] > p[j] for i, j in pairs) % 2 else 1
+        for s in product((1, -1), repeat=n):
+            if all(S[p[i]][p[j]] == s[i] * s[j] * S[i][j] for i, j in pairs):
+                g = tuple(a if si == 1 else n + a for a, si in zip(p, s))
+                out.append((g, sign * prod(s)))
     return out
 
 
@@ -698,8 +685,10 @@ def enumerate_S_delta(
     arithmetic (_lanes_in_window); the minor congruences are tested for a
     point inside the window when it first shows up in a pool i filters.
 
-    A leaf (a full matrix) therefore meets the deviation bound once its
-    determinant is m, and it is decided from state carried down the search:
+    One loop visits the pool of every column: a node at depth j < n - 1
+    filters the later pools and descends, and a node at depth n - 1 is a
+    leaf, a full matrix, which therefore meets the deviation bound once its
+    determinant is m.  It is decided from state carried down the search:
     the minors of the fixed columns, extended by one Laplace step per
     column, and from those of the first n - 2 columns and column n - 2 the
     cofactors along the last column, give the determinant as one n-term dot
@@ -802,41 +791,14 @@ def enumerate_S_delta(
     tally: dict[int, list] = {}
     other = 0
 
-    def leaves(fixed, pool, cof, g1, g2):
-        # the last column x completes the matrix: det = <cof, x> by Laplace
-        # expansion along it
-        nonlocal nodes, complete, other
-        shell = shell_of[n - 1]
-        while pool:
-            low = pool & -pool
-            pool ^= low
-            nodes += 1
-            if nodes > node_budget:
-                complete = False
-                return
-            x = shell[low.bit_length() - 1]
-            rec = tally.get(sum(map(mul, cof, x)))
-            if rec is None:
-                other += 1
-                continue
-            # the pools make every 2-by-2 minor 0 mod l, so D_2 is a multiple
-            # of l: it is l once g2 is, and _minor_gcd may stop at l
-            if (g1 != 1 and gcd(g1, *x) != 1) or (
-                g2 != l and _minor_gcd(g2, fixed, x, pairs, l) != l
-            ):
-                rec[1] += 1
-                continue
-            rec[0] += 1
-            if collect_witnesses:
-                rec[2].append(tuple(zip(*fixed, x)))
-
     def search(fixed, pools, minors, g1, g2):
         # pools[k - j] is the bitmask over column k's shell of the points
-        # that fit every fixed column, where j = len(fixed) <= n - 2; minors
-        # lists the minors of the fixed columns on the j-subsets of rows, in
-        # combinations order; g1 and g2 are the gcds of their entries and of
-        # their 2-by-2 minors
-        nonlocal nodes, complete
+        # that fit every fixed column, where j = len(fixed); minors lists
+        # the minors of the fixed columns on the j-subsets of rows, in
+        # combinations order, and at j = n - 1, where each point completes
+        # a leaf, the cofactors along the last column; g1 and g2 are the
+        # gcds of their entries and of their 2-by-2 minors
+        nonlocal nodes, complete, other
         j = len(fixed)
         shell, row = shell_of[j], tests[j]
         pool = pools[0]
@@ -849,6 +811,12 @@ def enumerate_S_delta(
                 complete = False
                 return
             col = shell[i]
+            if j == n - 1:
+                # det = <cof, col> by Laplace expansion along the last column
+                rec = tally.get(sum(map(mul, minors, col)))
+                if rec is None:
+                    other += 1
+                    continue
             img = None
             later = []
             for k, pool_k in enumerate(pools[1:], j + 1):
@@ -871,19 +839,25 @@ def enumerate_S_delta(
                 if k == j + 1 and not pool_k:
                     break  # the child would visit no node
                 later.append(pool_k)
-            else:  # no break: column j + 1 has candidates
+            else:  # no break: column j + 1 has candidates, or col ends a leaf
+                # the pools make every 2-by-2 minor 0 mod l, so D_2 is a
+                # multiple of l: it is l once g2 is, and _minor_gcd may stop at l
                 g1_col = g1 if g1 == 1 else gcd(g1, *col)
                 g2_col = g2 if g2 == l else _minor_gcd(g2, fixed, col, pairs, l)
-                if j == n - 2:
-                    cof = _extend_minors(minors, col, cof_plan)
-                    leaves(fixed + [col], later[0], cof, g1_col, g2_col)
-                else:
+                if j < n - 1:
                     search(
-                        fixed + [col], later, _extend_minors(minors, col, plan[j]),
+                        fixed + [col], later,
+                        _extend_minors(minors, col, cof_plan if j == n - 2 else plan[j]),
                         g1_col, g2_col,
                     )
-                if not complete:
-                    return
+                    if not complete:
+                        return
+                elif g1_col != 1 or g2_col != l:
+                    rec[1] += 1
+                else:
+                    rec[0] += 1
+                    if collect_witnesses:
+                        rec[2].append(tuple(zip(*fixed, col)))
 
     def count_orbits(group):
         # Search one point x of column 0's shell per orbit of group and book

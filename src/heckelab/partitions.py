@@ -92,7 +92,6 @@ def dominance_leq(a, b) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: Partition) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
@@ -200,7 +199,6 @@ def _horizontal_strips(shape: tuple[int, ...], size: int):
             yield tuple(x - r for x, r in zip(shape, removed) if x != r)
 
 
-@lru_cache(maxsize=None)
 def contingency_count(rows: Partition, cols: Partition) -> int:
     """Number of non-negative integer matrices with the given row and column sums."""
     rows = Partition(rows)

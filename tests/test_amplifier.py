@@ -74,12 +74,8 @@ def test_rank_two_closed_form():
 
 
 def test_rank_two_matrix_layout():
-    system = amplifier_coefficients(2, 5, verify=False)
+    system = amplifier_coefficients(2, 5)
     assert system.partitions == [Partition((2, 0)), Partition((1, 1))]
-    assert system.matrix == [
-        [Fraction(1), Fraction(1)],
-        [Fraction(4, 5), Fraction(2)],
-    ]
 
 
 def test_identity_exact_small_ranks():
@@ -89,7 +85,7 @@ def test_identity_exact_small_ranks():
 
 def test_identity_lhs_reduces_to_identity_operator():
     n, p = 3, 5
-    system = amplifier_coefficients(n, p, verify=False)
+    system = amplifier_coefficients(n, p)
     total = None
     for a, ya in system.y.items():
         prod = HeckeElement.identity(n, p)
@@ -149,14 +145,14 @@ def closed_forms(n, p):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
 def test_closed_forms_of_y(n, p):
-    system = amplifier_coefficients(n, p, verify=False)
+    system = amplifier_coefficients(n, p)
     assert {tuple(a): v for a, v in system.y.items()} == closed_forms(n, p)
 
 
 def test_boundedness_across_prime_ladder():
     for n in (2, 3, 4):
         maxima = [
-            float(amplifier_coefficients(n, p, verify=False).max_abs_y)
+            float(amplifier_coefficients(n, p).max_abs_y)
             for p in (101, 1009, 10007)
         ]
         spread = max(maxima) / min(maxima)
@@ -167,7 +163,7 @@ def test_boundedness_across_prime_ladder():
 
 
 def test_trivial_table_witnesses_bound():
-    system = amplifier_coefficients(2, 101, verify=False)
+    system = amplifier_coefficients(2, 101)
     table = EigenvalueTable.trivial(2, 101)
     rep = corollary_big_check(table, system)
     assert rep.normalized[1] > 1  # already above any threshold at j = 1
@@ -183,7 +179,7 @@ def test_eigenvalue_table_validation():
 
 
 def test_big_check_rejects_mismatched_system():
-    system = amplifier_coefficients(2, 5, verify=False)
+    system = amplifier_coefficients(2, 5)
     with pytest.raises(ValueError):
         corollary_big_check(EigenvalueTable.trivial(2, 7), system)
 
@@ -191,7 +187,7 @@ def test_big_check_rejects_mismatched_system():
 def test_random_torus_points_satisfy_bound():
     rng = random.Random(5)
     for n in (2, 3, 4):
-        system = amplifier_coefficients(n, 101, verify=False)
+        system = amplifier_coefficients(n, 101)
         for _ in range(350):
             phis = [rng.uniform(0, 2 * cmath.pi) for _ in range(n - 1)]
             alpha = [cmath.exp(1j * t) for t in phis]
@@ -206,7 +202,7 @@ def test_random_torus_points_satisfy_bound():
 
 
 def test_adversarial_zero_table():
-    system = amplifier_coefficients(3, 7, verify=False)
+    system = amplifier_coefficients(3, 7)
     table = EigenvalueTable(3, 7, {j: 0j for j in (1, 2, 3)})
     rep = corollary_big_check(table, system)
     assert not rep.bound_holds
@@ -241,7 +237,7 @@ def _tables(n, primes):
 
 def test_single_prime_value_positive():
     tabs = _tables(2, [101])
-    systems = {101: amplifier_coefficients(2, 101, verify=False)}
+    systems = {101: amplifier_coefficients(2, 101)}
     val = amplifier_value(tabs, tabs, L=100, systems=systems)
     direct = sum(
         (abs(tabs[0].lam[j]) / 101 ** (j * 1 / 2)) ** 2 for j in (1, 2)

@@ -130,7 +130,7 @@ def deviation_bracket_spec(gamma, Q, prec_bits):
         raise ValueError("determinant must be positive")
     r_lo, r_hi = root_bracket_spec(det * det, n, prec_bits)
     cols = list(zip(*gamma))
-    gram = [[Q.apply(cols[i], cols[j]) for j in range(n)] for i in range(n)]
+    gram = [[Fraction(Q.scaled_apply(a, b), Q.scale) for b in cols] for a in cols]
     dev_lo = Fraction(0)
     dev_hi = Fraction(0)
     for i in range(n):
@@ -457,7 +457,7 @@ def test_shell_rational_form_brute_force(q, lo, width):
     brute = [
         y
         for y in product(range(-box, box + 1), repeat=q.n)
-        if lo <= q.apply(y, y) <= hi
+        if lo <= Fraction(q.scaled_apply(y, y), q.scale) <= hi
     ]
     assert pts == brute
 
@@ -525,7 +525,7 @@ def test_corollary_plane_circle_stays_small():
 
 
 def planted_targets(q, xs, ystar):
-    return [q.apply(ystar, ystar)] + [q.apply(x, ystar) for x in xs]
+    return [Fraction(q.scaled_apply(x, ystar), q.scale) for x in [ystar, *xs]]
 
 
 RATIONAL_Q = QuadraticForm((
@@ -555,8 +555,11 @@ def test_corollary_counts_match_direct_filter(q, X, delta, xs, targets, box, exp
     brute = [
         y
         for y in product(range(-box, box + 1), repeat=q.n)
-        if abs(q.apply(y, y) - targets[0]) <= err
-        and all(abs(q.apply(x, y) - t) <= err for x, t in zip(xs, targets[1:]))
+        if abs(Fraction(q.scaled_apply(y, y), q.scale) - targets[0]) <= err
+        and all(
+            abs(Fraction(q.scaled_apply(x, y), q.scale) - t) <= err
+            for x, t in zip(xs, targets[1:])
+        )
     ]
     assert rep.count == len(brute)
     assert {w[0] for w in rep.witnesses} == set(brute)
@@ -1062,12 +1065,22 @@ def signed_permutations(n):
             yield tuple(tuple(signs[i] * (j == p[i]) for j in range(n)) for i in range(n))
 
 
-@pytest.mark.parametrize("q", [
-    I2, I3, I4, DIAG_1123, Q3_MIXED, Q3_EQUAL_DIAGONAL, Q3_EQUAL_OFF_DIAGONAL,
-    QuadraticForm.random_spd(4, 0), QuadraticForm.random_spd(4, 2),
-    QuadraticForm(((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))),
-], ids=["I2", "I3", "I4", "diag1123", "Q3mixed", "Q3eqdiag", "Q3eqoff", "r0", "r2", "A4dual"])
-def test_signed_automorphisms_match_every_candidate(q):
+@pytest.mark.parametrize("q,order,negative", [
+    (I2, 8, 4),
+    (I3, 48, 24),
+    (I4, 384, 192),
+    (DIAG_1123, 32, 16),
+    (Q3_MIXED, 4, 2),
+    (Q3_EQUAL_DIAGONAL, 4, 2),
+    (Q3_EQUAL_OFF_DIAGONAL, 2, 1),
+    (QuadraticForm.random_spd(4, 0), 2, 0),
+    (QuadraticForm.random_spd(4, 2), 4, 2),
+    (QuadraticForm(((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2))), 48, 24),
+    (QuadraticForm.identity(5), 3840, 1920),
+    (QuadraticForm.random_spd(5, 0), 2, 1),  # +-I, and det(-I) = -1 at odd n
+], ids=["I2", "I3", "I4", "diag1123", "Q3mixed", "Q3eqdiag", "Q3eqoff", "r0", "r2", "A4dual",
+        "I5", "r5"])
+def test_signed_automorphisms_match_every_candidate(q, order, negative):
     n, s = q.n, q.scaled
     expected = {
         k: matrix_det(k) for k in signed_permutations(n)
@@ -1081,7 +1094,8 @@ def test_signed_automorphisms_match_every_candidate(q):
         k = tuple(tuple((1 if a < n else -1) * (j == a % n) for j in range(n)) for a in g)
         found[k] = d
     assert found == expected
-    assert len(found) == len(_signed_automorphisms(s)) >= 2  # at least +-I
+    assert len(found) == len(_signed_automorphisms(s)) == order
+    assert list(found.values()).count(-1) == negative
 
 
 @pytest.mark.parametrize("nu,p,count,nodes", [
