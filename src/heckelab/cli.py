@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget", type=int,
         default=DEFAULT_BUDGET,
-        help=f"enumeration budget (default {DEFAULT_BUDGET})",
+        help=f"enumeration budget: coset candidates and integrality tests for multiply and "
+        f"cosets, search nodes for count --mode sdelta and scaling (default {DEFAULT_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

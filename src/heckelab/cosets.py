@@ -270,7 +270,15 @@ def _tally(b: Partition, exps: tuple[int, ...], p: int) -> dict[tuple[int, ...],
     Hermite form is one of the forms of its determinant's weight table,
     typed when it was listed; the entry at a's type is the count for a.
     The tally is shared by every left factor and read-only.
+
+    For a central shift b = b' + (kⁿ), y = p^k·y' makes γ·y⁻¹ =
+    diag(p^(exps − k))·y'⁻¹, so the inverses are read from the weight table
+    of |b'|; every need is then at least k, and none is met if min(exps) < k.
     """
+    k = b[-1]
+    if k > min(exps):
+        return {}
+    b, exps = Partition(e - k for e in b), tuple(e - k for e in exps)
     d = p**b.weight
     _, _, inverses = _weight_table(b.n, b.weight, p)
     _, types, _ = _weight_table(b.n, sum(exps) - b.weight, p)

@@ -37,12 +37,14 @@ gcds of the fixed columns are carried down the search, so a full matrix is
 decided without re-deriving them: its determinant is one dot product and
 its divisors two gcds.
 
-The search runs once per orbit of the first column under the signed
-permutations k with k^T Q k = Q, which are found by filtering all 2^n n!
-signed permutations.  gamma -> k gamma keeps every condition but the
-determinant, which it multiplies by det k, so the subtree at k x is the
-image of the subtree at x; its node count, leaf rejections and witnesses
-are read off that one subtree, sorted by determinant m and -m.
+One loop walks the first column's shell in shell order and searches only
+the first point of each orbit under the signed permutations k with
+k^T Q k = Q, which are found by filtering all 2^n n! signed permutations.
+gamma -> k gamma keeps every condition but the determinant, which it
+multiplies by det k, so the subtree at k x is the image of the subtree at
+x; its node count, leaf rejections and witnesses are read off that one
+subtree, sorted by determinant m and -m.  A point whose subtree would cross
+the node budget is searched on its own, so a cut is the full search's.
 """
 
 from __future__ import annotations
@@ -697,21 +699,20 @@ def enumerate_S_delta(
     notes["leaf_rejections"] counts the leaves failing on the determinant
     and on the divisors, in that order of testing.
 
-    The column-0 loop visits one point x per orbit of the group G of signed
-    permutations k with k^T (scale Q) k = scale Q (_signed_automorphisms).
+    One loop walks column 0's shell in shell order, under the group G of
+    signed permutations k with k^T (scale Q) k = scale Q (_signed_automorphisms).
     k maps the shells, the Gram entries, the 2-by-2 minors up to sign (so
     their congruences mod l and D_2) and D_1 onto themselves, and multiplies
     the determinant by det k, so the subtree at y = k_y x is k_y times the
-    subtree at x.  That subtree is searched once, its leaves sorted by
-    determinant m, -m or other, each with its divisor status; each y of the
-    orbit then adds the subtree's nodes, the rejections of a leaf gamma with
-    det(k_y gamma) = det(k_y) det(gamma), and (with witnesses) the matrices
-    k_y gamma of the leaves with det(gamma) = det(k_y) m.  So nodes and
-    leaf_rejections still count the full search, as sums over orbits, and
-    the witnesses are those of the full search.  If a representative's
-    search or the orbit-weighted node count crosses node_budget, the search
-    reruns over every point of column 0's shell on its own, so a cut stops
-    at the same shell-order prefix as the full search.
+    subtree at x.  Only the first point x of each orbit is searched, its
+    leaves sorted by determinant m, -m or other, each with its divisor
+    status; each later y of the orbit books that subtree through k_y: its
+    nodes, the rejections of a leaf gamma with det(k_y gamma) = det(k_y)
+    det(gamma), and (with witnesses) the matrices k_y gamma of the leaves
+    with det(gamma) = det(k_y) m.  So nodes, leaf_rejections and the
+    witnesses are those of the full search.  A point whose subtree would
+    take nodes past node_budget is searched on its own instead, so a cut
+    stops at the full search's shell-order prefix.
     """
     t0 = time.perf_counter()
     n = Q.n
@@ -859,54 +860,43 @@ def enumerate_S_delta(
                     if collect_witnesses:
                         rec[2].append(tuple(zip(*fixed, col)))
 
-    def count_orbits(group):
-        # Search one point x of column 0's shell per orbit of group and book
-        # its subtree once for each point k x of the orbit: k maps it onto
-        # the subtree at k x and multiplies each determinant by det k.
-        # None once the orbit-weighted node count crosses node_budget under
-        # a group of more than one element, where a cut would not stop at a
-        # shell-order prefix of the full search.
-        nonlocal nodes, complete, tally, other
-        nodes, complete = 0, True
-        count, rejections, witnesses = 0, {"det": 0, "divisors": 0}, []
-        moves = [(itemgetter(*g), d) for g, d in group]
-        full = [(1 << len(shell)) - 1 for shell in shell_of]
-        seen: set[tuple[int, ...]] = set()
-        for i, x in enumerate(shell_of[0]):
-            if x in seen:
-                continue
+    # the identity comes first, so a point searched itself books through it
+    moves = [(itemgetter(*g), d) for g, d in _signed_automorphisms(Q.scaled)]
+    full = [(1 << len(shell)) - 1 for shell in shell_of]
+    count, rejections, witnesses = 0, {"det": 0, "divisors": 0}, []
+    # booked[y] = (move, d, subtree) for y = k x, where x is the first point
+    # of y's orbit in shell order and k has det d; subtree holds x's node
+    # count, leaf count and, by determinant, (passed, failed, signed rows)
+    booked: dict[tuple[int, ...], tuple] = {}
+    for i, x in enumerate(shell_of[0]):
+        move, d, subtree = booked.get(x, (None, None, None))
+        if subtree is None or nodes + subtree[0] > node_budget:
+            # search x itself: the first point of its orbit, or the point
+            # whose subtree crosses node_budget, so the cut is the full search's
             signed_x = x + tuple(-v for v in x)
             orbit: dict[tuple[int, ...], tuple] = {}
             for move, d in moves:
                 orbit.setdefault(move(signed_x), (move, d))
-            seen.update(orbit)
             tally = {d * m: [0, 0, []] for _, d in orbit.values()}
-            other = 0
-            before = nodes
+            other, before = 0, nodes
             search([], [1 << i] + full[1:], [1], 0, 0)
-            nodes = before + len(orbit) * (nodes - before)
-            if nodes > node_budget and len(group) > 1:
-                return None
-            total = other + sum(passed + failed for passed, failed, _ in tally.values())
             # each leaf's rows and their negations, for a move to pick k gamma from
-            signed = {
-                det: [w + tuple(tuple(-v for v in row) for row in w) for w in found]
-                for det, (_, _, found) in tally.items()
-            }
-            for move, d in orbit.values():
-                passed, failed, _ = tally[d * m]
-                count += passed
-                rejections["det"] += total - passed - failed
-                rejections["divisors"] += failed
-                witnesses.extend(map(move, signed[d * m]))
-            if not complete:
-                break
-        return count, rejections, witnesses
-
-    result = count_orbits(_signed_automorphisms(Q.scaled))
-    if result is None:
-        result = count_orbits([(tuple(range(n)), 1)])
-    count, rejections, witnesses = result
+            subtree = (nodes - before, other + sum(p + f for p, f, _ in tally.values()), {
+                det: (p, f, [w + tuple(tuple(-v for v in row) for row in w) for w in found])
+                for det, (p, f, found) in tally.items()
+            })
+            for y, (move, d) in orbit.items():
+                booked.setdefault(y, (move, d, subtree))
+            move, d = moves[0]
+        else:
+            nodes += subtree[0]
+        passed, failed, rows = subtree[2][d * m]
+        count += passed
+        rejections["det"] += subtree[1] - passed - failed
+        rejections["divisors"] += failed
+        witnesses.extend(map(move, rows))
+        if not complete:
+            break
     witnesses.sort()
     return CountReport(
         parameters={

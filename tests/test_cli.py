@@ -86,6 +86,24 @@ def test_count_sdelta_witness_file(tmp_path, capsys):
     )
 
 
+def test_count_sdelta_budget_cut(tmp_path, capsys):
+    # (I4, 81, 3) visits 10 712 nodes: one fewer exits 3 with the partial
+    # report, and the witness file is written all the same
+    path = tmp_path / "cut.json"
+    code, out = run(
+        capsys, "--budget", "10711", "count", "--mode", "sdelta", "--n", "4", "--m", "81",
+        "--l", "3", "--witness-file", str(path),
+    )
+    assert code == 3
+    report = json.loads(out)["report"]
+    assert report["complete"] is False
+    assert report["count"] == 3072
+    assert report["notes"]["nodes"] == 10712
+    written = json.loads(path.read_text())
+    assert written["complete"] is False
+    assert written["count"] == len(written["witnesses"]) == 3072
+
+
 def test_count_sdelta_sign_matrix_witnesses(tmp_path, capsys):
     path = tmp_path / "sign_witnesses.json"
     code, _ = run(

@@ -474,6 +474,17 @@ def test_oracle_builds_each_tally_once(monkeypatch):
     assert smith == [] and local == []
 
 
+def test_central_right_factor_reads_its_base_table():
+    # b = (1, 1, 1) = (0, 0, 0) + (1³): cold, the tally reads the weight-0
+    # table and the target's weight-1 table, not the 20 306 forms of det 5³
+    for cached in (cosets._weight_table, cosets._reps, cosets._tally):
+        cached.cache_clear()
+    assert oracle_multiply(Partition((1, 0, 0)), Partition((1, 1, 1)), 5) == {Partition((2, 1, 1)): 1}
+    assert cosets._weight_table.cache_info().misses == 2
+    for a, b, p in (((1, 0, 0), (1, 1, 1), 5), ((2, 1, 0), (2, 1, 1), 2), ((1, 1, 0), (2, 2, 1), 2)):
+        assert oracle_multiply(a, b, p) == oracle_multiply_all_pairs(a, b, p), (a, b, p)
+
+
 def _integral_after_scaling(x, c, p, w):
     """Spec for the need vector: p^{c_i}·x_ij divisible by p^w for every entry."""
     d = p**w

@@ -1048,14 +1048,45 @@ def test_orbit_search_equals_full_search(monkeypatch, q, m, l, delta):
     assert rep.count == len(rep.witnesses)
 
 
-@pytest.mark.parametrize("budget,complete", [(10_711, False), (10_712, True)])
-def test_budget_edges_cut_the_full_search(monkeypatch, s81_report, budget, complete):
-    # (I4, 81, 3) visits 10 712 nodes: one fewer cuts the last leaf, and the
-    # cut falls back to the full search in shell order
-    rep = enumerate_S_delta(I4, 81, 3, DELTA, node_budget=budget)
+@pytest.mark.parametrize("q,m,l,delta,budget,complete,count", [
+    pytest.param(I4, 81, 3, DELTA, 1, False, 0, id="1-False"),
+    pytest.param(I4, 81, 3, DELTA, 50, False, 11, id="50-False"),
+    pytest.param(I4, 81, 3, DELTA, 5000, False, 1446, id="5000-False"),
+    pytest.param(I4, 81, 3, DELTA, 10_711, False, 3072, id="10711-False"),
+    pytest.param(I4, 81, 3, DELTA, 10_712, True, 3072, id="10712-True"),
+    pytest.param(QuadraticForm.random_spd(4, 0), 7**4, 7, Fraction(1, 3), 5000, False, 17,
+                 id="r0-5000-False"),
+    pytest.param(Q3_EQUAL_OFF_DIAGONAL, 8, 2, Fraction(1, 2), 60, False, 13, id="Q3eqoff-60-False"),
+])
+def test_budget_edges_cut_the_full_search(monkeypatch, q, m, l, delta, budget, complete, count):
+    # each point of column 0's shell books its orbit's subtree while the
+    # budget allows, and the point whose subtree crosses it is searched on
+    # its own, so a cut stops at the full search's shell-order prefix.
+    # (I4, 81, 3) visits 10 712 nodes: one fewer cuts the last leaf
+    rep = enumerate_S_delta(q, m, l, delta, node_budget=budget)
     assert rep.complete is complete
-    assert same_search(rep, search_without_orbits(monkeypatch, I4, 81, 3, DELTA, node_budget=budget))
-    assert rep.count == s81_report.count
+    assert rep.count == count
+    assert rep.notes["nodes"] == (budget if complete else budget + 1)
+    assert same_search(rep, search_without_orbits(monkeypatch, q, m, l, delta, node_budget=budget))
+
+
+def test_cut_costs_about_one_subtree_more(monkeypatch):
+    # a cut reuses the subtrees booked before it: at 10 711 nodes of (I4, 81,
+    # 3) it extends minors fewer than twice as often as the complete search
+    calls = []
+    extend = diophantine._extend_minors
+
+    def counted(*args):
+        calls.append(None)
+        return extend(*args)
+
+    monkeypatch.setattr(diophantine, "_extend_minors", counted)
+    work = []
+    for budget in (10_712, 10_711):
+        calls.clear()
+        enumerate_S_delta(I4, 81, 3, DELTA, node_budget=budget)
+        work.append(len(calls))
+    assert work[1] < 2 * work[0]
 
 
 def signed_permutations(n):
