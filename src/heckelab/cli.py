@@ -23,6 +23,7 @@ from .cosets import DEFAULT_BUDGET, CosetBudgetError, coset_decomposition, oracl
 from .hecke import multiply_generators, verify_lem2
 from .amplifier import amplifier_coefficients
 from .diophantine import (
+    NODE_BUDGET,
     QuadPoly2,
     QuadraticForm,
     brute_force_S_delta,
@@ -239,15 +240,17 @@ def _count_report(args):
     if args.mode == "corollary":
         q = _parse_q(args.q, args.n, args.seed)
         return corollary_count_ladder(args.n, args.k, args.ladder or [args.x], args.seed, Q=q)
+    # without --budget the searches keep the library's node budget
+    budget = {} if args.budget is None else {"node_budget": args.budget}
     if args.mode == "sdelta":
         q = _parse_q(args.q, args.n, args.seed)
         return enumerate_S_delta(
             q, args.m, args.l, Fraction(args.delta),
-            collect_witnesses=not args.no_witnesses, node_budget=args.budget,
+            collect_witnesses=not args.no_witnesses, **budget,
         )
     q = _parse_q(args.q, 4, args.seed)  # scaling
     return scaling_experiment(q, args.nu, args.ladder or [2, 3, 5, 7],
-                              Fraction(args.delta), node_budget=args.budget)
+                              Fraction(args.delta), **budget)
 
 
 def cmd_verify(args) -> int:
@@ -283,6 +286,10 @@ def cmd_verify(args) -> int:
     q2 = QuadraticForm.identity(2)
     found = enumerate_S_delta(q2, 1, 1, Fraction(1, 10**6)).witnesses
     record("sdelta_vs_bruteforce_n2", found == brute_force_S_delta(q2, 1, 1, Fraction(1, 10**6), 2))
+    # at l = 2 the minor congruences prune the search
+    q3 = QuadraticForm.identity(3)
+    found = enumerate_S_delta(q3, 4, 2, Fraction(2, 5)).witnesses
+    record("sdelta_vs_bruteforce_n3_m4_l2", found == brute_force_S_delta(q3, 4, 2, Fraction(2, 5), 2))
     ok = all(flag for _, flag in checks)
     _emit(args, {
         "checks": [{"name": n, "ok": f} for n, f in checks],
@@ -301,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timings", action="store_true", help="include wall-clock timings")
     parser.add_argument(
         "--budget", type=int,
-        default=DEFAULT_BUDGET,
         help=f"enumeration budget: coset candidates and integrality tests for multiply and "
-        f"cosets, search nodes for count --mode sdelta and scaling (default {DEFAULT_BUDGET})",
+        f"cosets (default {DEFAULT_BUDGET}), search nodes for count --mode sdelta and scaling "
+        f"(default {NODE_BUDGET})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,14 +28,14 @@ to vanish modulo the divisor target, so every leaf, a point of the last
 column's pool, already meets the deviation bound.  A pool is an integer
 bitmask over its column's shell.  Whether a shell point passes this filter
 against a fixed point depends only on the two points and three entries of
-the form, so each point is tested at most once against each fixed point,
-and filtering a pool is one integer AND with the points found to pass.  The
-Gram window of a fixed point is decided for a whole shell at once: the
-shell's coordinates are packed as the digits of a few big ints, so its Gram
-entries with the point are one integer combination of them.  The minors and
-gcds of the fixed columns are carried down the search, so a full matrix is
-decided without re-deriving them: its determinant is one dot product and
-its divisors two gcds.
+the form, so each fixed point's filter is computed once, as the bitmask of
+the points that pass, and filtering a pool is one integer AND.  The
+congruences say that the point lies in one of the residue classes set by
+the fixed point (_minor_classes), so the filter reads those classes off
+an index of the shell by residue and decides the Gram window on them only,
+each by one dot product.  The minors and gcds of the fixed columns are
+carried down the search, so a full matrix is decided without re-deriving
+them: its determinant is one dot product and its divisors two gcds.
 
 One loop walks the first column's shell in shell order and searches only
 the first point of each orbit under the signed permutations k with
@@ -53,7 +53,6 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, fsum, gcd, isqrt, lcm, log, prod
@@ -63,6 +62,8 @@ from .linalg import column_echelon, condition_at_most, gram_schmidt, lll, matrix
 from .seeded import Generator
 
 Matrix = tuple[tuple[int, ...], ...]
+
+NODE_BUDGET = 50_000_000  # the default bound on the nodes of one S_delta search
 
 
 # -- quadratic forms ----------------------------------------------------------
@@ -615,44 +616,21 @@ def _signed_automorphisms(S: Matrix) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-# -- lanes: many small integers as the digits of one int -----------------------------
-#
-# An int sum_t v_t 2^(width t) holds the values v_t in lanes of width bits.
-# An integer combination of such ints holds the same combination of their
-# values lane by lane, so one linear form is evaluated on a whole shell of
-# points by a few big-int operations.
+def _minor_classes(c, l: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, classes): the residue vectors mod L of the x with every 2-by-2
+    minor of (c, x) 0 mod l, listed as classes[lam] = lam * (c/g) mod L for
+    lam < L, where g = gcd(l, c_1, ..., c_n) and L = l/g.
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-@lru_cache(maxsize=64)
-def _lane_ones(size: int, width: int) -> int:
-    """sum_t 2^(width t) over t < size: a 1 in each lane (width a multiple of 8)."""
-    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * size, "little")
-
-
-def _pack_lanes(values, width: int) -> int:
-    """sum_t values[t] 2^(width t), for |values[t]| < 2^(width-1)."""
-    half = 1 << (width - 1)
-    digits = b"".join((v + half).to_bytes(width // 8, "little") for v in values)
-    return int.from_bytes(digits, "little") - half * _lane_ones(len(values), width)
-
-
-def _lanes_in_window(total: int, size: int, width: int, lo: int, hi: int) -> int:
-    """The bitmask of the t < size with lo <= v_t <= hi, for total =
-    sum_t v_t 2^(width t) with |v_t - lo| and |v_t - hi - 1| below
-    2^(width-1)."""
-    if not size:
-        return 0
-    half = 1 << (width - 1)
-    ones = _lane_ones(size, width)
-    # lane t holds v_t - lo + half, resp. v_t - hi - 1 + half, which lie in
-    # [0, 2^width), so no lane borrows; its top bit says v_t >= lo, resp. v_t > hi
-    from_lo = total + (half - lo) * ones
-    past_hi = total + (half - hi - 1) * ones
-    tops = (from_lo & ~past_hi) >> (width - 1) & ones
-    flags = tops.to_bytes(size * width // 8, "little")[:: width // 8]
-    return int(flags.translate(_BIT_DIGITS)[::-1], 2)
+    Let p^e exactly divide l and p^v divide g.  If v < e, c/p^v has a
+    coordinate a prime to p, so the minors with row a force x = x_a c_a^-1
+    c/p^v mod p^(e-v), and every such x makes every minor a multiple of
+    p^e; if v = e, every x passes.  CRT joins the prime powers.  c/g is
+    primitive mod L, so the classes are distinct.
+    """
+    g = gcd(l, *c)
+    L = l // g
+    step = [v // g for v in c]
+    return L, [tuple([lam * v % L for v in step]) for lam in range(L)]
 
 
 def enumerate_S_delta(
@@ -661,7 +639,7 @@ def enumerate_S_delta(
     l: int,
     delta,
     collect_witnesses: bool = True,
-    node_budget: int = 50_000_000,
+    node_budget: int = NODE_BUDGET,
 ) -> CountReport:
     """All integer matrices with determinant m, entry gcd 1, second
     determinantal divisor l, and deviation at most delta from a scaled
@@ -679,13 +657,14 @@ def enumerate_S_delta(
 
     Each pool is an integer bitmask over its column's shell, and its set
     bits are visited in ascending order, which is shell order.  Whether a
-    point of column k's shell fits point i of column j's shell depends only
+    point of column k's shell fits point c of column j's shell depends only
     on the two points and scale*Q_jj, scale*Q_kk and scale*Q_jk, so the
-    results are kept as bitmasks shared by the column pairs with equal
-    entries (all of them for I_n), and filtering a pool is pool & fit.  On
-    first use, the Gram window is decided for the whole shell by lane
-    arithmetic (_lanes_in_window); the minor congruences are tested for a
-    point inside the window when it first shows up in a pool i filters.
+    bitmask of the points that fit c is computed once, on first use, and
+    kept in a table shared by the column pairs with equal entries (all of
+    them for I_n); filtering a pool is pool & fit.  The minors vanish mod l
+    on the residue classes mod L of _minor_classes(c, l), which an index of
+    the shell by residue mod L lists, and each point listed is kept when
+    its Gram entry, one dot product with scale*Q*c, lies in its window.
 
     One loop visits the pool of every column: a node at depth j < n - 1
     filters the later pools and descends, and a node at depth n - 1 is a
@@ -732,28 +711,11 @@ def enumerate_S_delta(
     shell_of = [shells[Q.scaled[k][k]] for k in range(n)]
     pairs = list(combinations(range(n), 2))
     plan = _laplace_plan(n)
-    # lanes wide enough for the Gram entry c^T (scale Q) x of any two shell
-    # points less any window end; lanes[k][r] packs coordinate r of column
-    # k's shell
-    reach = max((abs(v) for shell in shell_of for x in shell for v in x), default=0)
-    bound = (
-        n * n * max(abs(v) for row in Q.scaled for v in row) * reach * reach
-        + max(abs(v) for w in windows.values() for v in w) + 1
-    )
-    width = 8 * (bound.bit_length() // 8 + 1)
-    packed = {
-        s: [_pack_lanes([x[r] for x in shell], width) for r in range(n)]
-        for s, shell in shells.items()
-    }
-    lanes = [packed[Q.scaled[k][k]] for k in range(n)]
-    # tests[j][k][i] = [untested, fit] holds, as bitmasks over column k's
-    # shell, the points inside the Gram window of point i of column j's
-    # shell whose minors with it are not yet tested, and the points found
-    # to fit it.  Fitting depends on the two points and the entries
-    # scale*Q_jj, scale*Q_kk and scale*Q_jk only, so column pairs with
-    # equal entries share one table.  The window is decided for the whole
-    # shell at once, on first use, and a point's minors the first time it
-    # shows up in a pool that point i filters.
+    # tests[j][k][i] is the bitmask over column k's shell of the points that
+    # fit point i of column j's shell: their Gram entry with it lies in its
+    # window and their 2-by-2 minors with it vanish mod l.  Fitting depends
+    # on the two points and the entries scale*Q_jj, scale*Q_kk and
+    # scale*Q_jk only, so column pairs with equal entries share one table.
     tables: dict[tuple[int, int, int], list] = {}
     tests = [
         {
@@ -764,16 +726,25 @@ def enumerate_S_delta(
         }
         for j in range(n)
     ]
+    # by_class[s, L] maps each residue vector mod L to the indices of the
+    # points of shell s in it, built the first time L occurs
+    by_class: dict[tuple[int, int], dict] = {}
 
-    def minors_vanish(col, shell, fresh: int) -> int:
-        # the bits t of fresh with every 2-by-2 minor of (col, shell[t]) 0 mod l
+    def fit(k: int, img, L: int, classes, lo: int, hi: int) -> int:
+        # the points x of column k's shell in one of the classes mod L whose
+        # Gram entry img . x lies in [lo, hi]
+        s = Q.scaled[k][k]
+        shell = shells[s]
+        index = by_class.get((s, L))
+        if index is None:
+            index = by_class[s, L] = {}
+            for t, x in enumerate(shell):
+                index.setdefault(tuple([v % L for v in x]), []).append(t)
         bits = 0
-        while fresh:
-            low = fresh & -fresh
-            fresh ^= low
-            x = shell[low.bit_length() - 1]
-            if all((col[a] * x[b] - col[b] * x[a]) % l == 0 for a, b in pairs):
-                bits |= low
+        for key in classes:
+            for t in index.get(key, ()):
+                if lo <= sum(map(mul, img, shell[t])) <= hi:
+                    bits |= 1 << t
         return bits
 
     # cof_plan[r] expands the cofactor of row r along the last column in
@@ -826,17 +797,9 @@ def enumerate_S_delta(
                     if known is None:
                         if img is None:
                             img = [sum(map(mul, r, col)) for r in Q.scaled]
-                        total = sum(c * p for c, p in zip(img, lanes[k]) if c)
-                        window = _lanes_in_window(
-                            total, len(shell_of[k]), width, *windows[Q.scaled[j][k]]
-                        )
-                        # mod l = 1 every minor vanishes: the window decides
-                        known = row[k][i] = [window, 0] if l > 1 else [0, window]
-                    fresh = pool_k & known[0]
-                    if fresh:
-                        known[0] ^= fresh
-                        known[1] |= minors_vanish(col, shell_of[k], fresh)
-                    pool_k &= known[1]
+                            L, classes = _minor_classes(col, l)
+                        known = row[k][i] = fit(k, img, L, classes, *windows[Q.scaled[j][k]])
+                    pool_k &= known
                 if k == j + 1 and not pool_k:
                     break  # the child would visit no node
                 later.append(pool_k)
@@ -864,12 +827,13 @@ def enumerate_S_delta(
     moves = [(itemgetter(*g), d) for g, d in _signed_automorphisms(Q.scaled)]
     full = [(1 << len(shell)) - 1 for shell in shell_of]
     count, rejections, witnesses = 0, {"det": 0, "divisors": 0}, []
-    # booked[y] = (move, d, subtree) for y = k x, where x is the first point
-    # of y's orbit in shell order and k has det d; subtree holds x's node
-    # count, leaf count and, by determinant, (passed, failed, signed rows)
+    # booked[y] = (move, d, subtree) for a point y = k x not yet walked, where
+    # x is the first point of y's orbit in shell order and k has det d;
+    # subtree holds x's node count, leaf count and, by determinant, (passed,
+    # failed, signed rows), and goes with the orbit's last point
     booked: dict[tuple[int, ...], tuple] = {}
     for i, x in enumerate(shell_of[0]):
-        move, d, subtree = booked.get(x, (None, None, None))
+        move, d, subtree = booked.pop(x, (None, None, None))
         if subtree is None or nodes + subtree[0] > node_budget:
             # search x itself: the first point of its orbit, or the point
             # whose subtree crosses node_budget, so the cut is the full search's
@@ -885,6 +849,7 @@ def enumerate_S_delta(
                 det: (p, f, [w + tuple(tuple(-v for v in row) for row in w) for w in found])
                 for det, (p, f, found) in tally.items()
             })
+            del orbit[x]
             for y, (move, d) in orbit.items():
                 booked.setdefault(y, (move, d, subtree))
             move, d = moves[0]
@@ -962,7 +927,7 @@ def scaling_experiment(
     nu: int,
     primes: list[int],
     delta=Fraction(1, 10**6),
-    node_budget: int = 50_000_000,
+    node_budget: int = NODE_BUDGET,
 ) -> CountReport:
     """Counts over the ladder m = p^{4 nu}, l = p^{nu} with a fitted exponent.
 

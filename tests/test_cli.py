@@ -104,6 +104,20 @@ def test_count_sdelta_budget_cut(tmp_path, capsys):
     assert written["count"] == len(written["witnesses"]) == 3072
 
 
+def test_count_sdelta_default_budget_is_the_librarys(capsys):
+    # without --budget the search keeps enumerate_S_delta's node budget, so
+    # the 1 456 376 nodes of (I4, 47^4, 47) complete
+    code, out = run(
+        capsys, "count", "--mode", "sdelta", "--n", "4", "--m", "4879681", "--l", "47",
+        "--no-witnesses",
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["complete"] is True
+    assert report["count"] == 442368
+    assert report["notes"]["nodes"] == 1456376
+
+
 def test_count_sdelta_sign_matrix_witnesses(tmp_path, capsys):
     path = tmp_path / "sign_witnesses.json"
     code, _ = run(
@@ -337,6 +351,19 @@ def test_verify_fails_on_a_shifted_image_coefficient(monkeypatch, capsys):
     assert not checks["satake_alternant_n3_p2_(2, 1, 0)"]
     basic = [name for name in checks if name.startswith("satake_basic_")]
     assert len(basic) == 5 and all(checks[name] for name in basic)
+
+
+def test_verify_fails_when_the_search_skips_the_minor_congruences(monkeypatch, capsys):
+    # one class mod 1 admits every point the Gram windows allow, as if no
+    # minor had to vanish mod l; at l = 2 the search then finds 208
+    # matrices, not 96
+    from heckelab import diophantine
+
+    monkeypatch.setattr(diophantine, "_minor_classes", lambda c, l: (1, [(0,) * len(c)]))
+    code, out = run(capsys, "verify")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed == ["sdelta_vs_bruteforce_n3_m4_l2"]
 
 
 SPEC_POLYNOMIALS = {"SymPoly", "hall_littlewood_p", "schur"}

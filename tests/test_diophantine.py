@@ -14,10 +14,9 @@ from heckelab.diophantine import (
     _extend_minors,
     _floor_root,
     _int_nth_root,
-    _lanes_in_window,
     _laplace_plan,
+    _minor_classes,
     _minor_gcd,
-    _pack_lanes,
     _signed_automorphisms,
     brute_force_S_delta,
     corollary_count_experiment,
@@ -743,21 +742,24 @@ def test_carried_minors_match_determinant_and_divisors(n, l, data):
         assert g2 == determinantal_divisors_bruteforce(gamma)[1]
 
 
-@given(st.sampled_from([(8, 5, 76), (16, 100, 12766)]), st.data())
-@settings(max_examples=80, deadline=None)
-def test_lanes_in_window_matches_direct_test(shape, data):
-    # 2 R^2 + L + 1 < 2^(width-1): every |v - lo| and |v - hi - 1| fits a
-    # lane, with no margin to spare
-    width, R, L = shape
-    coords = st.integers(-R, R)
-    points = data.draw(st.lists(st.tuples(coords, coords), max_size=40))
-    c = data.draw(st.tuples(coords, coords))
-    lo, hi = data.draw(st.integers(-L, L)), data.draw(st.integers(-L, L))
-    total = sum(c[r] * _pack_lanes([x[r] for x in points], width) for r in range(2))
-    expected = sum(
-        1 << t for t, x in enumerate(points) if lo <= c[0] * x[0] + c[1] * x[1] <= hi
-    )
-    assert _lanes_in_window(total, len(points), width, lo, hi) == expected
+VECTOR_PAIRS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(-99, 99)] * n)] * 2)
+)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 36, 49]), st.integers(1, 49), VECTOR_PAIRS)
+@settings(max_examples=400, deadline=None)
+@example(6, 1, ((2, 3), (4, 3)))  # c/g = (2, 3) has no coordinate prime to 6
+@example(36, 6, ((1, 5, 0), (6, 30, 7)))  # gcd(36, c) = 6
+@example(12, 12, ((1, -2, 3, 4), (5, 6, 7, 8)))  # c = 0 mod 12
+def test_minor_classes_match_the_minor_congruences(l, d, pair):
+    # scaling c by gcd(l, d) makes gcd(l, c) > 1 and c = 0 mod l common
+    c, x = pair
+    c = tuple(gcd(l, d) * v for v in c)
+    L, classes = _minor_classes(c, l)
+    assert L * gcd(l, *c) == l and len(set(classes)) == L
+    vanish = all((c[a] * x[b] - c[b] * x[a]) % l == 0 for a, b in combinations(range(len(c)), 2))
+    assert (tuple(v % L for v in x) in classes) == vanish
 
 
 @pytest.mark.parametrize("delta,count,nodes,rejections", [
@@ -1068,6 +1070,24 @@ def test_budget_edges_cut_the_full_search(monkeypatch, q, m, l, delta, budget, c
     assert rep.count == count
     assert rep.notes["nodes"] == (budget if complete else budget + 1)
     assert same_search(rep, search_without_orbits(monkeypatch, q, m, l, delta, node_budget=budget))
+
+
+@pytest.mark.parametrize("seed,m,l,count,nodes,det,divisors", [
+    (0, 7**4, 7, 30, 7338, 36, 2),
+    (1, 7**4, 7, 2, 4574, 16, 2),
+    (2, 7**4, 7, 24, 3416, 28, 4),
+    (0, 7**4, 49, 0, 3450, 2, 2),
+    (0, 11**4, 11, 78, 44132, 112, 2),
+], ids=["r0-7", "r1-7", "r2-7", "r0-7-49", "r0-11"])
+def test_generic_forms_at_a_third(seed, m, l, count, nodes, det, divisors):
+    # random_spd(4, s) shares no fit table between column pairs, and at
+    # delta = 1/3 its windows are wide, so nearly every fit is decided on
+    # the residue classes of the minor congruences
+    rep = enumerate_S_delta(QuadraticForm.random_spd(4, seed), m, l, Fraction(1, 3),
+                            collect_witnesses=False)
+    assert rep.complete
+    assert rep.count == count
+    assert rep.notes == {"nodes": nodes, "leaf_rejections": {"det": det, "divisors": divisors}}
 
 
 def test_cut_costs_about_one_subtree_more(monkeypatch):
